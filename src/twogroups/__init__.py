@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .catalog import Fingerprint, fingerprint, parse_catalog, serialize, shipped_catalog, shipped_group
 from .f2poly import F2Poly, degree_membership, groebner, parse_poly, sq1
-from .homology import CoverData, commuting_wedges, ganea_kernel, h2_integral, schur_cover
+from .homology import CoverData, commuting_wedges, h2_integral, schur_cover, wedge_space
 from .ktheory import (
     CentralExtensionData,
     central_extension,
@@ -22,7 +22,7 @@ from .ktheory import (
     thm41_check,
     thm42_check,
 )
-from .lhs import LhsData, d2_table, d3_table, extension_class_rep, lhs_data_for, survives_deg4
+from .lhs import LhsData, d2_table, extension_class_rep, lhs_data_for, survives_deg4
 from .ooze import (
     AdaptedDecomposition,
     DeltaMap,
@@ -71,12 +71,10 @@ __all__ = [
     "conjecture62_scan",
     "conjugacy_classes",
     "d2_table",
-    "d3_table",
     "degree_membership",
     "delta_map",
     "extension_class_rep",
     "fingerprint",
-    "ganea_kernel",
     "groebner",
     "h1_wh_prime",
     "h2_integral",
@@ -98,4 +96,5 @@ __all__ = [
     "survives_deg4",
     "thm41_check",
     "thm42_check",
+    "wedge_space",
 ]

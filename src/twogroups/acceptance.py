@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import catalog as cat_mod
 from .catalog import fingerprint, parse_catalog, shipped_catalog
 from .f2poly import F2Poly, degree_membership, in_ideal_groebner, parse_poly, sq1
-from .homology import ganea_kernel, schur_cover
+from .homology import schur_cover, wedge_space
 from .ktheory import (
     central_extension,
     h1_wh_prime,
@@ -26,6 +26,7 @@ from .ktheory import (
     thm42_check,
 )
 from .lhs import LhsError, _reduce_mod, extension_class_rep, lhs_data_for, survives_deg4
+from .linalg import iter_bits
 from .ooze import (
     adapted_decomposition,
     compatible_pair_check,
@@ -313,7 +314,7 @@ def crit_7_theta() -> Tuple[bool, Dict]:
 
 def crit_8_ganea() -> Tuple[bool, Dict]:
     cat = shipped_catalog()
-    ws = ganea_kernel(cat["SG128_1376"])
+    ws = wedge_space(cat["SG128_1376"])
     names = sorted(ws.wedge_name(m) for m in ws.kernel_basis)
     return names == ["e12+e34", "e14", "e24"], {"kernel": names}
 
@@ -369,22 +370,15 @@ def _insert_relator(rng: random.Random, group: PcGroup, word):
     if rng.random() < 0.5:
         i = rng.randrange(1, n + 1)
         relator = [(i, 1), (i, 1)]
-        for b in reversed(list(_bits(group.powers[i - 1]))):
+        for b in reversed(list(iter_bits(group.powers[i - 1]))):
             relator.append((b + 1, -1))
     else:
         i = rng.randrange(1, n)
         j = rng.randrange(i + 1, n + 1)
         relator = [(i, -1), (j, -1), (i, 1), (j, 1)]
-        for b in reversed(list(_bits(group.comms[i - 1][j - 1]))):
+        for b in reversed(list(iter_bits(group.comms[i - 1][j - 1]))):
             relator.append((b + 1, -1))
     return word[:pos] + relator + word[pos:]
-
-
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def prop_consistency() -> Tuple[bool, Dict]:

@@ -170,7 +170,7 @@ class Fingerprint:
 def fingerprint(group) -> Fingerprint:
     std = standard_subgroups(group)
     ab = QuotientGroup(group, std.derived)
-    invariants = abelian_invariants_by_order_profile(ab)
+    invariants = abelian_invariants_by_order_profile(ab.elements(), ab.element_order)
     classes = conjugacy_classes(group)
     orders: Dict[int, int] = {}
     exponent = 1

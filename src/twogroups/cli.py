@@ -54,14 +54,17 @@ def _load_groups(paths: List[str]) -> Dict[str, PcGroup]:
     return groups
 
 
+class UnknownGroupError(LookupError):
+    """A group reference that neither the shipped catalog nor --catalog has."""
+
+
 def _resolve(groups: Dict[str, PcGroup], ref: str) -> PcGroup:
     if ref in groups:
         return groups[ref]
-    raise KeyError(ref)
+    raise UnknownGroupError(ref)
 
 
-def _emit(args, group: Optional[PcGroup], invariant: str, value, certificate=None,
-          started: float = 0.0) -> None:
+def _emit(args, group: Optional[PcGroup], invariant: str, value, certificate=None) -> None:
     if args.json:
         report = {
             "tool": "twogroups",
@@ -74,7 +77,7 @@ def _emit(args, group: Optional[PcGroup], invariant: str, value, certificate=Non
         report["value"] = value
         if certificate is not None:
             report["certificate"] = certificate
-        report["timing_ms"] = round((time.time() - started) * 1000, 1)
+        report["timing_ms"] = round((time.perf_counter() - args.started) * 1000, 1)
         print(json.dumps(report, sort_keys=True))
     else:
         if isinstance(value, dict):
@@ -95,7 +98,6 @@ def _word(text: str) -> List[int]:
 
 def cmd_info(args, groups) -> int:
     g = _resolve(groups, args.group)
-    t0 = time.time()
     fp = fingerprint(g)
     value = {
         "name": g.name,
@@ -104,31 +106,26 @@ def cmd_info(args, groups) -> int:
         "fingerprint": fp.as_dict(),
         "presentation": serialize(g).strip(),
     }
-    _emit(args, g, "info", value, started=t0)
+    _emit(args, g, "info", value)
     return 0
 
 
 def cmd_h1whp(args, groups) -> int:
     g = _resolve(groups, args.group)
-    t0 = time.time()
     data = h1_wh_prime(g)
-    _emit(args, g, "h1_wh_prime", {"rank": data.rank}, certificate=data.as_dict(),
-          started=t0)
+    _emit(args, g, "h1_wh_prime", {"rank": data.rank}, certificate=data.as_dict())
     return 0
 
 
 def cmd_sk1(args, groups) -> int:
     g = _resolve(groups, args.group)
-    t0 = time.time()
     data = sk1(g)
-    _emit(args, g, "sk1", {"invariants": list(data.invariants)},
-          certificate=data.as_dict(), started=t0)
+    _emit(args, g, "sk1", {"invariants": list(data.invariants)}, certificate=data.as_dict())
     return 0
 
 
 def cmd_cover(args, groups) -> int:
     g = _resolve(groups, args.group)
-    t0 = time.time()
     cover = schur_cover(g)
     value = {
         "cover_order": cover.cover.order,
@@ -136,23 +133,21 @@ def cmd_cover(args, groups) -> int:
         "stem_order": cover.stem_part.order,
         "h2_invariants": list(cover.h2_invariants),
     }
-    _emit(args, g, "schur_cover", value, started=t0)
+    _emit(args, g, "schur_cover", value)
     return 0
 
 
 def cmd_search_ext(args, groups) -> int:
     g = _resolve(groups, args.group)
-    t0 = time.time()
     print(f"scanning central order-2 subgroups of {g.name} ...", file=sys.stderr)
     entries = search_central_extensions(g)
     value = {"count": len(entries), "entries": [e.as_dict() for e in entries]}
-    _emit(args, g, "search_central_extensions", value, started=t0)
+    _emit(args, g, "search_central_extensions", value)
     return 0
 
 
 def cmd_lhs_report(args, groups) -> int:
     g = _resolve(groups, args.group)
-    t0 = time.time()
     data = lhs_data_for(g)
     value = data.as_dict()
     if args.page4:
@@ -164,23 +159,21 @@ def cmd_lhs_report(args, groups) -> int:
                 survivors.append(f"{name}^4")
         value["survivors_deg4"] = survivors
         value["dead_quartics"] = [str(p) for p in polys]
-    _emit(args, g, "lhs_report", value, started=t0)
+    _emit(args, g, "lhs_report", value)
     return 0
 
 
 def cmd_lambda4(args, groups) -> int:
     g = _resolve(groups, args.group)
-    t0 = time.time()
     report = lambda4_detect(g)
-    _emit(args, g, "lambda4", {"verdict": report.verdict, "reasons": report.reasons},
-          certificate=report.certificate, started=t0)
+    value = {"verdict": report.verdict, "reasons": report.reasons}
+    _emit(args, g, "lambda4", value, certificate=report.certificate)
     return 0
 
 
 def cmd_compat(args, groups) -> int:
     g = _resolve(groups, args.group)
     cover = _resolve(groups, args.cover)
-    t0 = time.time()
     if not args.images:
         raise PcError(
             "compat needs --images: the verified surjection onto the base "
@@ -204,19 +197,18 @@ def cmd_compat(args, groups) -> int:
     theta = parse_poly(args.theta, data.variables)
     z = parse_poly(args.z, data.variables)
     report = compatible_pair_check(g, ext, theta, z)
-    _emit(args, g, "compatible_pair", report.as_dict(), started=t0)
+    _emit(args, g, "compatible_pair", report.as_dict())
     return 0
 
 
 def cmd_conj62(args, groups) -> int:
     g = _resolve(groups, args.group)
-    t0 = time.time()
     seqs = conjecture62_scan(g)
     value = {
         "sequences": [s.as_dict() for s in seqs],
         "homological_filters_applied": False,
     }
-    _emit(args, g, "conjecture62_scan", value, started=t0)
+    _emit(args, g, "conjecture62_scan", value)
     return 0
 
 
@@ -281,11 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
+    args.started = started
     if args.threads is not None:
         try:
             set_worker_count(args.threads)
@@ -299,7 +293,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.fn(args, groups)
-    except KeyError as exc:
+    except UnknownGroupError as exc:
         print(f"error: unknown group {exc.args[0]!r}", file=sys.stderr)
         return USAGE_ERROR
     except PolyError as exc:

@@ -259,6 +259,40 @@ class MembershipCertificate:
         return out
 
 
+class DegreeSlice:
+    """The degree-d slice of the ideal <gens> as a GF(2) row space.
+
+    One row g * m per generator g and monomial m of degree d - deg(g), in
+    generator order; `products` lists the (generator index, m) of each row.
+    Coordinates are over the degree-d monomials in descending grlex.
+    """
+
+    def __init__(self, gens: Sequence[F2Poly], d: int, variables: Sequence[str]):
+        self.variables = tuple(variables)
+        self.monomials = monomials_of_degree(self.variables, d)
+        self._index = {m: i for i, m in enumerate(self.monomials)}
+        self.span = Gf2Span()
+        self.products: List[Tuple[int, Monomial]] = []
+        for gi, g in enumerate(gens):
+            dg = g.degree()
+            if g.is_zero() or dg > d:
+                continue
+            for m in monomials_of_degree(self.variables, d - dg):
+                self.span.add(self.vector(g * F2Poly(self.variables, [m])))
+                self.products.append((gi, m))
+
+    def vector(self, p: F2Poly) -> int:
+        v = 0
+        for m in p.monomials:
+            v |= 1 << self._index[m]
+        return v
+
+    def reduce(self, p: F2Poly) -> F2Poly:
+        """Canonical residue of a degree-d polynomial modulo the slice."""
+        residue = self.span.reduce(self.vector(p))
+        return F2Poly(self.variables, [self.monomials[i] for i in iter_bits(residue)])
+
+
 def degree_membership(
     f: F2Poly, gens: Sequence[F2Poly], d: Optional[int] = None
 ) -> MembershipCertificate:
@@ -284,42 +318,21 @@ def degree_membership(
             raise PolyError("generators must be homogeneous")
         if g.vars != f.vars:
             raise PolyError("variable universes differ")
-    basis = monomials_of_degree(f.vars, d)
-    index = {m: i for i, m in enumerate(basis)}
-
-    def to_vec(p: F2Poly) -> int:
-        v = 0
-        for m in p.monomials:
-            v |= 1 << index[m]
-        return v
-
-    span = Gf2Span()
-    products: List[Tuple[int, Monomial]] = []  # (generator index, cofactor monomial)
-    for gi, g in enumerate(gens):
-        dg = g.degree()
-        if g.is_zero() or dg > d:
-            continue
-        for m in monomials_of_degree(f.vars, d - dg):
-            prod = g * F2Poly(f.vars, [m])
-            if span.add(to_vec(prod)):
-                pass
-            products.append((gi, m))
-    combo = span.solve(to_vec(f))
-    rows, cols = len(products), len(basis)
+    dslice = DegreeSlice(gens, d, f.vars)
+    combo = dslice.span.solve(dslice.vector(f))
+    rows, cols = len(dslice.products), len(dslice.monomials)
     if combo is None:
-        residue_vec = span.reduce(to_vec(f))
-        residue = F2Poly(f.vars, [basis[i] for i in iter_bits(residue_vec)])
         return MembershipCertificate(
             member=False,
             degree=d,
             generators=list(gens),
-            residue=residue,
+            residue=dslice.reduce(f),
             system_rows=rows,
             system_cols=cols,
         )
     coeffs = [F2Poly.zero(f.vars) for _ in gens]
     for k in iter_bits(combo):
-        gi, m = products[k]
+        gi, m = dslice.products[k]
         coeffs[gi] = coeffs[gi] + F2Poly(f.vars, [m])
     cert = MembershipCertificate(
         member=True,

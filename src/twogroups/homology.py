@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Gf2Span, gf2_kernel, iter_bits, smith_normal_form
+from .linalg import (
+    Gf2Span,
+    elementary_coordinates,
+    gf2_kernel,
+    iter_bits,
+    smith_normal_form,
+    transpose_masks,
+)
 from .pcgroup import (
     GroupHom,
     PcError,
@@ -44,10 +51,6 @@ class CoverData:
     stem_part: Subgroup
     h2_invariants: Tuple[int, ...]
     tail_images: Tuple[int, ...]  # relation tail index -> element of the cover
-
-    def lift(self, g: int) -> int:
-        """Canonical set-theoretic section: same x-bits, no tail part."""
-        return g
 
 
 def schur_cover(group: PcGroup) -> CoverData:
@@ -123,7 +126,7 @@ def schur_cover(group: PcGroup) -> CoverData:
     der = derived_subgroup(cover)
     stem_elems = kernel.elements & der.elements
     stem = Subgroup(cover, sorted(stem_elems, key=cover.lexkey), stem_elems)
-    h2 = _abelian_subgroup_invariants(cover, stem)
+    h2 = abelian_invariants_by_order_profile(stem.sorted_elements(), cover.element_order)
     expected = tuple(sorted(d for _c, d in torsion))
     if h2 != expected:
         raise PcError(
@@ -138,23 +141,6 @@ def schur_cover(group: PcGroup) -> CoverData:
         h2_invariants=h2,
         tail_images=tail_images,
     )
-
-
-def _abelian_subgroup_invariants(group, sub: Subgroup) -> Tuple[int, ...]:
-    class _View:
-        order = sub.order
-        identity = group.identity
-
-        def elements(self):
-            return sub.sorted_elements()
-
-        def square(self, g):
-            return group.square(g)
-
-        def element_order(self, g):
-            return group.element_order(g)
-
-    return abelian_invariants_by_order_profile(_View())
 
 
 def h2_integral(group: PcGroup, cover: Optional[CoverData] = None) -> Tuple[int, ...]:
@@ -188,12 +174,12 @@ def commuting_pairs(group) -> List[Tuple[int, int]]:
 def commuting_wedges(group: PcGroup, cover: CoverData) -> Subgroup:
     """Subgroup of the stem part generated by commutators of lifts of
     commuting pairs; the lift choice is immaterial because the kernel is
-    central."""
+    central: a group element lifts to the cover element with the same bits."""
     sc = cover.cover
     seen = set()
     gens = []
     for g, h in commuting_pairs(group):
-        w = sc.comm(cover.lift(g), cover.lift(h))
+        w = sc.comm(g, h)
         if w and w not in seen:
             seen.add(w)
             gens.append(w)
@@ -209,32 +195,20 @@ def subquotient_invariants(group, top: Subgroup, bottom: Subgroup) -> Tuple[int,
         raise PcError("bottom is not contained in top")
 
     reps: List[int] = []
-    assigned: Dict[int, int] = {}
+    reached = set()
     for g in top.sorted_elements():
-        if g in assigned:
-            continue
-        reps.append(g)
-        for b in bottom.elements:
-            assigned[group.mult(g, b)] = g
+        if g not in reached:
+            reps.append(g)
+            reached.update(group.mult(g, b) for b in bottom.elements)
 
-    class _View:
-        order = len(reps)
-        identity = assigned[group.identity]
+    def order_mod_bottom(g: int) -> int:
+        o = 1
+        while g not in bottom.elements:
+            g = group.square(g)
+            o <<= 1
+        return o
 
-        def elements(self):
-            return reps
-
-        def square(self, g):
-            return assigned[group.square(g)]
-
-        def element_order(self, g):
-            o = 1
-            while g != self.identity:
-                g = self.square(g)
-                o <<= 1
-            return o
-
-    return abelian_invariants_by_order_profile(_View())
+    return abelian_invariants_by_order_profile(reps, order_mod_bottom)
 
 
 @dataclass
@@ -283,70 +257,44 @@ class WedgeSpace:
 
 
 def wedge_space(group) -> WedgeSpace:
-    """Wedge data for a group with elementary abelianization, central derived."""
+    """Wedge data for a group with elementary abelianization, central derived.
+
+    kernel_basis spans the kernel of e_ij -> [g_i, g_j]; it equals the image
+    of H_2(G;Z) in H_2(G^ab;Z) for such groups (five-term exact sequence).
+    """
     der = derived_subgroup(group)
     if not der.is_central:
         raise PcError("derived subgroup is not central")
     # classes modulo derived, coordinatized greedily over pc generator images
-    lifts: List[int] = []
-    labels: List[int] = []
-    coord: Dict[int, int] = {}
-    for d in der.elements:
-        coord[d] = 0
-    for idx, gen in enumerate(group.generators):
-        if gen in coord:
-            continue
-        if group.square(gen) not in der.elements:
-            raise PcError("abelianization is not elementary abelian")
-        for elem, mask in list(coord.items()):
-            coord[group.mult(elem, gen)] = mask | (1 << len(lifts))
-        lifts.append(gen)
-        labels.append(idx + 1)
+    gens = group.generators
+    if any(group.square(g) not in der.elements for g in gens):
+        raise PcError("abelianization is not elementary abelian")
+    lifts, coord = elementary_coordinates(group.mult, der.elements, gens)
     if len(coord) != group.order:
         raise PcError("pc generator classes do not span the abelianization")
     r = len(lifts)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    basis: List[int] = []
-    dcoord: Dict[int, int] = {group.identity: 0}
-    for g in der.sorted_elements():
-        if g in dcoord:
-            continue
-        for elem, mask in list(dcoord.items()):
-            dcoord[group.mult(elem, g)] = mask | (1 << len(basis))
-        basis.append(g)
+    basis, dcoord = elementary_coordinates(
+        group.mult, [group.identity], der.sorted_elements()
+    )
     comm_matrix = []
     for i, j in pairs:
         val = group.comm(lifts[i], lifts[j])
         if group.square(val) != group.identity:
             raise PcError("derived subgroup is not elementary abelian")
         comm_matrix.append(dcoord[val])
-    ncols = len(pairs)
-    rows = []
-    for bit in range(len(basis)):
-        row = 0
-        for k in range(ncols):
-            if comm_matrix[k] >> bit & 1:
-                row |= 1 << k
-        rows.append(row)
-    kernel = gf2_kernel(rows, ncols)
+    kernel = gf2_kernel(transpose_masks(comm_matrix), len(pairs))
     return WedgeSpace(
         group=group,
         rank=r,
         factor_lifts=lifts,
-        factor_labels=labels,
+        factor_labels=[gens.index(g) + 1 for g in lifts],
         pairs=pairs,
         derived_basis=basis,
         comm_matrix=comm_matrix,
         kernel_basis=sorted(kernel),
         _class_coord=coord,
     )
-
-
-def ganea_kernel(group) -> WedgeSpace:
-    """Kernel of e_ij -> [g_i, g_j]; equals the image of H_2(G;Z) in
-    H_2(G^ab;Z) for groups with central derived subgroup and elementary
-    abelianization (five-term exact sequence)."""
-    return wedge_space(group)
 
 
 def commuting_wedge_span(group, wedge: WedgeSpace) -> Gf2Span:

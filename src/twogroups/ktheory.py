@@ -22,6 +22,7 @@ from .pcgroup import (
     QuotientGroup,
     Subgroup,
     conjugacy_classes,
+    conjugacy_orbit,
     conjugate_to_inverse_witness,
     derived_subgroup,
     subgroup,
@@ -60,7 +61,9 @@ def h1_wh_prime(group) -> WhPrimeData:
     """Rank r with H^1(Wh'(Z2^G)) isomorphic to (Z/2)^r.
 
     Fast path for class-<=2 pc groups: conjugating witnesses are solved in
-    the GF(2) span of the generator commutators; otherwise orbits.
+    the GF(2) span of the generator commutators.  Otherwise one orbit walk
+    per class: if a_y^-1 r a_y = y for the class's first element r, then
+    h = a_y^-1 a_{y^-1} conjugates y to y^-1.
     """
     der = derived_subgroup(group)
     if isinstance(group, PcGroup) and group.is_fast:
@@ -68,12 +71,17 @@ def h1_wh_prime(group) -> WhPrimeData:
     s_elems = frozenset(g for g in group.elements() if group.square(g) in der.elements)
     witnesses: List[Tuple[int, int]] = []
     c_gens = list(der.gens)
+    orbit_of: Dict[int, Dict[int, int]] = {}
     for g in sorted(s_elems, key=group.lexkey):
         if g in der.elements:
             continue
-        h = conjugate_to_inverse_witness(group, g)
-        if h is not None:
-            witnesses.append((g, h))
+        if g not in orbit_of:
+            orbit = conjugacy_orbit(group, g)
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+        orbit = orbit_of[g]
+        g_inv = group.inv(g)
+        if g_inv in orbit:
+            witnesses.append((g, group.mult(group.inv(orbit[g]), orbit[g_inv])))
             c_gens.append(g)
     s_sub = Subgroup(group, sorted(s_elems, key=group.lexkey), s_elems)
     c_sub = subgroup(group, c_gens)
@@ -252,7 +260,6 @@ def commutator_values(group) -> frozenset:
 
 def _center_transversal(group: PcGroup) -> List[int]:
     gens = group.generators
-    central_span = Gf2Span()
     reps = []
     seen = set()
     for g in group.elements():

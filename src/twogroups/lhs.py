@@ -14,14 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2poly import (
-    F2Poly,
-    MembershipCertificate,
-    degree_membership,
-    monomials_of_degree,
-    sq1,
-)
-from .linalg import Gf2Span, iter_bits
+from .f2poly import DegreeSlice, F2Poly, MembershipCertificate, degree_membership, sq1
+from .linalg import elementary_coordinates, gf2_kernel, iter_bits, transpose_masks
 from .pcgroup import PcGroup, Subgroup, derived_subgroup, subgroup
 
 
@@ -60,35 +54,11 @@ class LhsData:
         }
 
 
-def _degree_slice_span(gens: Sequence[F2Poly], d: int, variables) -> Gf2Span:
-    basis = monomials_of_degree(variables, d)
-    index = {m: i for i, m in enumerate(basis)}
-    span = Gf2Span()
-    for g in gens:
-        dg = g.degree()
-        if g.is_zero() or dg > d:
-            continue
-        for m in monomials_of_degree(variables, d - dg):
-            prod = g * F2Poly(variables, [m])
-            vec = 0
-            for mm in prod.monomials:
-                vec |= 1 << index[mm]
-            span.add(vec)
-    return span
-
-
 def _reduce_mod(gens: Sequence[F2Poly], f: F2Poly, d: int) -> F2Poly:
+    """Canonical residue of f modulo the degree-d slice of the ideal <gens>."""
     if f.is_zero():
         return f
-    variables = f.vars
-    basis = monomials_of_degree(variables, d)
-    index = {m: i for i, m in enumerate(basis)}
-    span = _degree_slice_span(gens, d, variables)
-    vec = 0
-    for m in f.monomials:
-        vec |= 1 << index[m]
-    residue = span.reduce(vec)
-    return F2Poly(variables, [basis[i] for i in iter_bits(residue)])
+    return DegreeSlice(gens, d, f.vars).reduce(f)
 
 
 def d2_table(group, v_subgroup: Subgroup) -> LhsData:
@@ -169,11 +139,6 @@ def d2_table(group, v_subgroup: Subgroup) -> LhsData:
     )
 
 
-def d3_table(data: LhsData) -> Dict[int, F2Poly]:
-    """Kudo transgression values reduced modulo the degree-3 part of I2."""
-    return dict(data.d3)
-
-
 def frattini_subgroup(group) -> Subgroup:
     """<squares and commutators>; the quotient is the largest elementary
     abelian one."""
@@ -224,41 +189,18 @@ def dead_quartic_subspace(data: LhsData) -> Tuple[List[int], List[F2Poly]]:
 
     Returns (masks over W-variable indices, the corresponding polynomials).
     """
-    nvars = len(data.variables)
+    dslice = DegreeSlice(data.ideal_closed, 4, data.variables)
+    quartics = [F2Poly.var(data.variables, x) ** 4 for x in data.variables]
+    residues = [dslice.span.reduce(dslice.vector(p)) for p in quartics]
+    # kernel of c -> XOR of the residues over the set bits of c
+    dead_masks = sorted(gf2_kernel(transpose_masks(residues), len(residues)))
     dead_polys = []
-    span = _degree_slice_span(data.ideal_closed, 4, data.variables)
-    basis = monomials_of_degree(data.variables, 4)
-    index = {m: i for i, m in enumerate(basis)}
-    quartic_vecs = []
-    for a in range(nvars):
-        m = [0] * nvars
-        m[a] = 4
-        quartic_vecs.append(1 << index[tuple(m)])
-    residues = [span.reduce(v) for v in quartic_vecs]
-    dead_masks = _quartic_kernel(residues)
     for mask in dead_masks:
         acc = F2Poly.zero(data.variables)
         for a in iter_bits(mask):
-            m = [0] * nvars
-            m[a] = 4
-            acc = acc + F2Poly(data.variables, [tuple(m)])
+            acc = acc + quartics[a]
         dead_polys.append(acc)
     return dead_masks, dead_polys
-
-
-def _quartic_kernel(residues: List[int]) -> List[int]:
-    """Kernel of c -> XOR of residues over set bits of c."""
-    rows = []
-    nbits = max((r.bit_length() for r in residues), default=0)
-    for bit in range(nbits):
-        row = 0
-        for a, r in enumerate(residues):
-            if r >> bit & 1:
-                row |= 1 << a
-        rows.append(row)
-    from .linalg import gf2_kernel
-
-    return sorted(gf2_kernel(rows, len(residues)))
 
 
 @dataclass
@@ -296,16 +238,9 @@ def extension_class_rep(ext, base_data: Optional[LhsData] = None) -> TowerClassR
         if cover.square(v) != cover.identity:
             raise LhsError("V~ is not elementary abelian")
     # greedy basis of V~ preferring single pc generators, ascending
-    basis: List[int] = []
-    coord: Dict[int, int] = {cover.identity: 0}
     candidates = [g for g in cover.generators if g in vt.elements]
     candidates += [g for g in vt.sorted_elements() if g not in candidates]
-    for g in candidates:
-        if g in coord:
-            continue
-        for elem, mask in list(coord.items()):
-            coord[cover.mult(elem, g)] = mask | (1 << len(basis))
-        basis.append(g)
+    basis, coord = elementary_coordinates(cover.mult, [cover.identity], candidates)
     if len(coord) != vt.order:
         raise LhsError("failed to coordinatize the cover Frattini subgroup")
     tmask = coord[t]
@@ -329,14 +264,10 @@ def extension_class_rep(ext, base_data: Optional[LhsData] = None) -> TowerClassR
         else:
             raise LhsError("pass base_data for a non-pc base group")
     variables = base_lhs.variables
-    w_index = {g: k for k, g in enumerate(base_lhs.w_gens)}
     frat_base = frattini_subgroup(base_lhs.group)
-    wcoord: Dict[int, int] = {}
-    for d in frat_base.elements:
-        wcoord[d] = 0
-    for k, g in enumerate(base_lhs.w_gens):
-        for elem, mask in list(wcoord.items()):
-            wcoord[base_lhs.group.mult(elem, g)] = mask | (1 << k)
+    _w, wcoord = elementary_coordinates(
+        base_lhs.group.mult, frat_base.elements, base_lhs.w_gens
+    )
 
     def linear_form(elem_of_base: int) -> F2Poly:
         mask = wcoord[elem_of_base]

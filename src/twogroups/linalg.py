@@ -6,7 +6,7 @@ lists of lists of ints (exact, arbitrary precision).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def iter_bits(x: int) -> Iterator[int]:
@@ -110,6 +110,36 @@ def gf2_kernel(rows: Sequence[int], ncols: int) -> List[int]:
                 vec |= 1 << piv
         kernel.append(vec)
     return kernel
+
+
+def transpose_masks(masks: Sequence[int]) -> List[int]:
+    """Rows of the matrix whose j-th column has the bits of masks[j]."""
+    nbits = max((m.bit_length() for m in masks), default=0)
+    return [
+        sum(1 << j for j, m in enumerate(masks) if m >> bit & 1)
+        for bit in range(nbits)
+    ]
+
+
+def elementary_coordinates(
+    mult: Callable[[int, int], int], zero: Iterable[int], candidates: Iterable[int]
+) -> Tuple[List[int], Dict[int, int]]:
+    """Greedy GF(2) coordinates on an elementary abelian section.
+
+    zero lists the elements with coordinate 0 (the subgroup divided out);
+    each candidate not yet reached becomes the next basis vector.  Returns
+    (basis, table) with table mapping every element reached to its mask.
+    """
+    table = dict.fromkeys(zero, 0)
+    basis: List[int] = []
+    for g in candidates:
+        if g in table:
+            continue
+        bit = 1 << len(basis)
+        for elem, mask in list(table.items()):
+            table[mult(elem, g)] = mask | bit
+        basis.append(g)
+    return basis, table
 
 
 def dot2(a: int, b: int) -> int:

@@ -11,7 +11,6 @@ caps resource use and keeps the scan structure explicitly partitioned.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -39,5 +38,8 @@ def map_chunks(fn: Callable[[Sequence[T]], R], items: Sequence[T]) -> List[R]:
         return [fn(items)]
     size = (len(items) + n - 1) // n
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    # imported here: most CLI calls never start the pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, chunks))

@@ -12,7 +12,7 @@ of its inputs (caches are internal memo tables only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Gf2Span, abelian_invariants_from_relations, iter_bits
 
@@ -31,7 +31,29 @@ def _lexkey(bits: int, n: int) -> int:
     return key
 
 
-class PcGroup:
+class _Powers:
+    """power and element_order from mult, square, inv and identity."""
+
+    def power(self, g: int, k: int) -> int:
+        if k < 0:
+            g, k = self.inv(g), -k
+        res = self.identity
+        while k:
+            if k & 1:
+                res = self.mult(res, g)
+            g = self.square(g)
+            k >>= 1
+        return res
+
+    def element_order(self, g: int) -> int:
+        order = 1
+        while g != self.identity:
+            g = self.square(g)
+            order <<= 1
+        return order
+
+
+class PcGroup(_Powers):
     """A finite 2-group given by a consistent pc presentation."""
 
     def __init__(
@@ -219,25 +241,6 @@ class PcGroup:
                     acc ^= self.comms[i][j] if i < j else self.comms[j][i]
             return acc
         return self.mult(self.mult(self.inv(self.mult(b, a)), a), b)
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(g), -k)
-        res = 0
-        base = g
-        while k:
-            if k & 1:
-                res = self.mult(res, base)
-            base = self.square(base)
-            k >>= 1
-        return res
-
-    def element_order(self, g: int) -> int:
-        order = 1
-        while g != 0:
-            g = self.square(g)
-            order <<= 1
-        return order
 
     @property
     def identity(self) -> int:
@@ -469,33 +472,40 @@ def conjugacy_classes(group) -> List[ConjugacyClass]:
             )
         classes.sort(key=lambda c: group.lexkey(c.rep))
         return classes
-    order = getattr(group, "order")
     seen = set()
     classes = []
     for g in group.elements():
         if g in seen:
             continue
-        orbit = {g}
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for x in group.generators:
-                    y = group.conj(h, x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        seen |= orbit
+        orbit = conjugacy_orbit(group, g)
+        seen.update(orbit)
         classes.append(
             ConjugacyClass(
                 rep=min(orbit, key=group.lexkey),
                 elements=tuple(sorted(orbit, key=group.lexkey)),
-                centralizer_order=order // len(orbit),
+                centralizer_order=group.order // len(orbit),
             )
         )
     classes.sort(key=lambda c: group.lexkey(c.rep))
     return classes
+
+
+def conjugacy_orbit(group, g: int) -> Dict[int, int]:
+    """The class of g as {y: t} with t^-1 g t = y: a breadth-first orbit walk
+    under conjugation by the generators that records one transporter per
+    element (Holt, Eick and O'Brien, Handbook of CGT, 4.1)."""
+    orbit = {g: group.identity}
+    frontier = [g]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for x in group.generators:
+                y = group.conj(h, x)
+                if y not in orbit:
+                    orbit[y] = group.mult(orbit[h], x)
+                    nxt.append(y)
+        frontier = nxt
+    return orbit
 
 
 def _span_elements(basis: List[int]) -> List[int]:
@@ -521,30 +531,7 @@ def conjugate_to_inverse_witness(group, g: int) -> Optional[int]:
         for i in iter_bits(combo):
             h = group.mult(h, group.generators[i])
         return h
-    inv = group.inv(g)
-    parent = {g: None}
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for x in group.generators:
-                y = group.conj(h, x)
-                if y not in parent:
-                    parent[y] = (h, x)
-                    nxt.append(y)
-        frontier = nxt
-    if inv not in parent:
-        return None
-    word = []
-    cur = inv
-    while parent[cur] is not None:
-        prev, x = parent[cur]
-        word.append(x)
-        cur = prev
-    w = group.identity
-    for x in reversed(word):
-        w = group.mult(w, x)
-    return w
+    return conjugacy_orbit(group, g).get(group.inv(g))
 
 
 @dataclass
@@ -640,7 +627,7 @@ def homomorphism(source: PcGroup, target, images: Sequence[int]) -> GroupHom:
     return GroupHom(source, target, images, verify=True)
 
 
-class QuotientGroup:
+class QuotientGroup(_Powers):
     """G/N with canonical (lexicographically least) coset representatives."""
 
     def __init__(self, base, modulus: Subgroup):
@@ -712,25 +699,6 @@ class QuotientGroup:
     def comm(self, a: int, b: int) -> int:
         return self._canon[self.base.comm(a, b)]
 
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inv(g), -k
-        res = self.identity
-        base = g
-        while k:
-            if k & 1:
-                res = self.mult(res, base)
-            base = self.square(base)
-            k >>= 1
-        return res
-
-    def element_order(self, g: int) -> int:
-        order = 1
-        while g != self.identity:
-            g = self.square(g)
-            order <<= 1
-        return order
-
     def lexkey(self, g: int) -> int:
         return self.base.lexkey(g)
 
@@ -762,18 +730,25 @@ class Abelianization:
     factor_gens: Tuple[int, ...]      # elements of the quotient generating each factor
 
     def coordinates(self) -> Dict[int, Tuple[int, ...]]:
-        """Discrete-log table: quotient element -> exponents along the factors."""
-        table = {self.quotient.identity: tuple(0 for _ in self.invariants)}
-        for j, (g, m) in enumerate(zip(self.factor_gens, self.invariants)):
-            current = dict(table)
-            p = self.quotient.identity
-            for e in range(1, m):
-                p = self.quotient.mult(p, g)
-                for elem, coords in current.items():
-                    c = list(coords)
-                    c[j] = e
-                    table[self.quotient.mult(elem, p)] = tuple(c)
-        return table
+        return cyclic_coordinates(self.quotient, self.factor_gens, self.invariants)
+
+
+def cyclic_coordinates(
+    q, factor_gens: Sequence[int], orders: Sequence[int]
+) -> Dict[int, Tuple[int, ...]]:
+    """Discrete-log table of an abelian group q along cyclic factors:
+    element -> exponents; fewer than |q| keys means the sum is not direct."""
+    table = {q.identity: tuple(0 for _ in orders)}
+    for j, (g, m) in enumerate(zip(factor_gens, orders)):
+        current = dict(table)
+        p = q.identity
+        for e in range(1, m):
+            p = q.mult(p, g)
+            for elem, coords in current.items():
+                c = list(coords)
+                c[j] = e
+                table[q.mult(elem, p)] = tuple(c)
+    return table
 
 
 def derived_subgroup(group) -> Subgroup:
@@ -841,15 +816,17 @@ def abelianization(group) -> Abelianization:
     return ab
 
 
-def abelian_invariants_by_order_profile(q) -> Tuple[int, ...]:
+def abelian_invariants_by_order_profile(
+    elements: Iterable[int], element_order: Callable[[int], int]
+) -> Tuple[int, ...]:
     """Invariants of a finite abelian 2-group from its element-order counts.
 
     If n_k = #{g : g^(2^k) = 1} then the number of cyclic factors of order
     >= 2^k equals log2(n_k) - log2(n_{k-1}); the multiset of invariants
     follows.  Exact for abelian groups only.
     """
-    orders = [q.element_order(g) for g in q.elements()]
-    nbits = max(q.order.bit_length(), 2)
+    orders = [element_order(g) for g in elements]
+    nbits = max(len(orders).bit_length(), 2)
     counts = [sum(1 for o in orders if o <= (1 << k)) for k in range(nbits)]
     # dims[k-1] = number of cyclic factors of order >= 2^k
     dims = [

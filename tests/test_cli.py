@@ -1,5 +1,9 @@
 import json
+import time
 
+import pytest
+
+from twogroups import cli
 from twogroups.cli import main
 
 
@@ -26,6 +30,33 @@ def test_unknown_group_is_usage_error(capsys):
     code, out, err = run_cli(["h1whp", "NOSUCH"], capsys)
     assert code == 2
     assert "unknown group" in err
+
+
+def test_unknown_cover_is_usage_error(capsys):
+    code, out, err = run_cli(
+        ["compat", "SG128_1376", "--cover", "NOSUCH", "--theta", "0", "--z", "0"], capsys
+    )
+    assert code == 2
+    assert "unknown group 'NOSUCH'" in err
+
+
+def test_internal_key_error_is_not_unknown_group(monkeypatch, capsys):
+    # a KeyError raised inside a computation is a fault, not a usage error
+    def broken(group):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "h1_wh_prime", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["h1whp", "D8"])
+
+
+def test_conj62_scale_bound_is_exit_1(capsys):
+    # G16384: 2^14 elements x 1920 surjective tuples, far above the bound
+    start = time.perf_counter()
+    code, out, err = run_cli(["conj62", "G16384"], capsys)
+    assert code == 1
+    assert "conj62 bound" in err and "16384 x 1920" in err
+    assert time.perf_counter() - start < 30
 
 
 def test_missing_subcommand_is_usage_error(capsys):

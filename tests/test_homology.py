@@ -5,10 +5,10 @@ import pytest
 from twogroups.homology import (
     ScaleError,
     commuting_wedges,
-    ganea_kernel,
     h2_integral,
     schur_cover,
     subquotient_invariants,
+    wedge_space,
 )
 from twogroups.linalg import smith_normal_form
 from twogroups.oracles import bar_h2, kunneth_h2_of_cyclic_product, pc_to_table
@@ -98,7 +98,7 @@ def test_tails_invariants_stable_under_permutation(cat):
 
 
 def test_ganea_kernel_1376(cat):
-    ws = ganea_kernel(cat["SG128_1376"])
+    ws = wedge_space(cat["SG128_1376"])
     assert sorted(ws.wedge_name(m) for m in ws.kernel_basis) == [
         "e12+e34",
         "e14",
@@ -107,7 +107,7 @@ def test_ganea_kernel_1376(cat):
 
 
 def test_ganea_kernel_abelian_full(cat):
-    ws = ganea_kernel(cat["C2xC2xC2"])
+    ws = wedge_space(cat["C2xC2xC2"])
     r = ws.rank
     assert len(ws.kernel_basis) == r * (r - 1) // 2
 
@@ -115,7 +115,7 @@ def test_ganea_kernel_abelian_full(cat):
 def test_ganea_kernel_1377_dimension(cat):
     # the commutator matrix e12->x5, e13->x6, e14->x7, e23->x7 has rank 3,
     # so the kernel is 3-dimensional: {e14+e23, e24, e34}
-    ws = ganea_kernel(cat["SG128_1377"])
+    ws = wedge_space(cat["SG128_1377"])
     assert len(ws.kernel_basis) == 3
     assert sorted(ws.wedge_name(m) for m in ws.kernel_basis) == [
         "e14+e23",
@@ -126,7 +126,7 @@ def test_ganea_kernel_1377_dimension(cat):
 
 def test_ganea_kernel_dimension_formula(cat):
     for name in ["SG128_1376", "SG128_1377", "SG256_9039"]:
-        ws = ganea_kernel(cat[name])
+        ws = wedge_space(cat[name])
         n_pairs = len(ws.pairs)
         comm_rank = 0
         from twogroups.linalg import gf2_rank
@@ -137,4 +137,4 @@ def test_ganea_kernel_dimension_formula(cat):
 
 def test_ganea_kernel_preconditions(cat):
     with pytest.raises(PcError):
-        ganea_kernel(cat["G16384"])  # abelianization has Z/4 factors
+        wedge_space(cat["G16384"])  # abelianization has Z/4 factors

@@ -15,7 +15,14 @@ from twogroups.ktheory import (
     thm42_check,
 )
 from twogroups.linalg import smith_normal_form
-from twogroups.pcgroup import PcGroup, TailCollector, derived_subgroup, homomorphism
+from twogroups.pcgroup import (
+    PcGroup,
+    QuotientGroup,
+    TailCollector,
+    derived_subgroup,
+    homomorphism,
+    trivial_subgroup,
+)
 
 
 WH_EXPECTED = {
@@ -48,13 +55,18 @@ def test_h1_wh_prime_ranks(cat, name, rank):
 
 
 def test_h1_wh_prime_fast_matches_generic(cat):
-    for name in ["SG128_1377", "SG256_9039", "D8", "Q8"]:
+    for name in ["SG128_1376", "SG128_1377", "SG256_9039", "D8", "Q8", "C2xC4"]:
         g = cat[name]
         fast = h1_wh_prime(g)
-        slow_s = frozenset(
-            x for x in g.elements() if g.square(x) in derived_subgroup(g).elements
-        )
-        assert slow_s == fast.s_subgroup.elements
+        # G/1 is not a PcGroup, so h1_wh_prime takes the generic orbit path
+        q = QuotientGroup(g, trivial_subgroup(g))
+        slow = h1_wh_prime(q)
+        assert slow.rank == fast.rank, name
+        assert slow.s_subgroup.elements == fast.s_subgroup.elements, name
+        assert slow.c_subgroup.elements == fast.c_subgroup.elements, name
+        assert {a for a, _ in slow.witnesses} == {a for a, _ in fast.witnesses}, name
+        for a, h in slow.witnesses:
+            assert q.conj(a, h) == q.inv(a), name
 
 
 def test_sk1_values(cat):

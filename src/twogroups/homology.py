@@ -29,6 +29,7 @@ from .pcgroup import (
     Subgroup,
     TailCollector,
     abelian_invariants_by_order_profile,
+    class_centralizers,
     derived_subgroup,
     subgroup,
 )
@@ -151,7 +152,9 @@ def h2_integral(group: PcGroup, cover: Optional[CoverData] = None) -> Tuple[int,
 
 
 def commuting_pairs(group) -> List[Tuple[int, int]]:
-    """All ordered pairs (g, h) with gh = hg."""
+    """All ordered pairs (g, h) with gh = hg: the |G|^2 brute-force walk,
+    kept only as the test oracle for `commuting_wedges` and
+    `commuting_wedge_span`."""
     from .parallel import map_chunks
 
     elems = list(group.elements())
@@ -174,15 +177,21 @@ def commuting_pairs(group) -> List[Tuple[int, int]]:
 def commuting_wedges(group: PcGroup, cover: CoverData) -> Subgroup:
     """Subgroup of the stem part generated by commutators of lifts of
     commuting pairs; the lift choice is immaterial because the kernel is
-    central: a group element lifts to the cover element with the same bits."""
+    central: a group element lifts to the cover element with the same bits.
+
+    Centrality also makes h -> [g~, h~] a homomorphism from C_G(g) into the
+    kernel, and [g~^x, h~^x] = [g~, h~]; so the pairs (class representative,
+    centralizer generator) of `class_centralizers` generate the same
+    subgroup as all commuting pairs."""
     sc = cover.cover
     seen = set()
     gens = []
-    for g, h in commuting_pairs(group):
-        w = sc.comm(g, h)
-        if w and w not in seen:
-            seen.add(w)
-            gens.append(w)
+    for g, centralizer_gens in class_centralizers(group):
+        for h in centralizer_gens:
+            w = sc.comm(g, h)
+            if w and w not in seen:
+                seen.add(w)
+                gens.append(w)
     sub = subgroup(sc, gens)
     if not sub.elements <= cover.stem_part.elements:
         raise PcError("commuting wedges escaped the stem part")
@@ -298,15 +307,21 @@ def wedge_space(group) -> WedgeSpace:
 
 
 def commuting_wedge_span(group, wedge: WedgeSpace) -> Gf2Span:
-    """GF(2) span of the wedges of classes of all commuting pairs."""
+    """GF(2) span of the wedges of classes of all commuting pairs.
+
+    [g] ^ [h] is linear in h on C_G(g) and unchanged by conjugating both, so
+    the pairs of `class_centralizers` span the same space (see
+    `commuting_wedges`)."""
     span = Gf2Span()
     seen_pairs = set()
-    for g, h in commuting_pairs(group):
-        u, v = wedge.class_mask(g), wedge.class_mask(h)
-        if (u, v) in seen_pairs:
-            continue
-        seen_pairs.add((u, v))
-        w = wedge.wedge_of_classes(u, v)
-        if w:
-            span.add(w)
+    for g, centralizer_gens in class_centralizers(group):
+        u = wedge.class_mask(g)
+        for h in centralizer_gens:
+            v = wedge.class_mask(h)
+            if (u, v) in seen_pairs:
+                continue
+            seen_pairs.add((u, v))
+            w = wedge.wedge_of_classes(u, v)
+            if w:
+                span.add(w)
     return span

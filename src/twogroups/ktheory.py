@@ -21,6 +21,7 @@ from .pcgroup import (
     PcGroup,
     QuotientGroup,
     Subgroup,
+    _inverse_conjugator_fast,
     conjugacy_classes,
     conjugacy_orbit,
     conjugate_to_inverse_witness,
@@ -100,21 +101,12 @@ def _h1_wh_prime_fast(group: PcGroup, der: Subgroup) -> WhPrimeData:
     witnesses: List[Tuple[int, int]] = []
     cspan = Gf2Span()  # classes mod derived of the conjugate-to-inverse elements
     c_gens = list(der.gens)
-    gens = group.generators
     for g in s_elems:
         if dspan.contains(g):
             continue
-        # g ~ g^-1 iff g^-2 = g^2 lies in the span of the [g, x_i]
-        span = Gf2Span()
-        vecs = [group.comm(g, x) for x in gens]
-        for v in vecs:
-            span.add(v)
-        combo = span.solve(group.square(g))
-        if combo is None:
+        h = _inverse_conjugator_fast(group, g)
+        if h is None:
             continue
-        h = 0
-        for i in iter_bits(combo):
-            h = group.mult(h, gens[i])
         witnesses.append((g, h))
         if cspan.add(dspan.reduce(g)):
             c_gens.append(g)

@@ -12,7 +12,7 @@ of its inputs (caches are internal memo tables only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import Gf2Span, abelian_invariants_from_relations, iter_bits
 
@@ -508,6 +508,29 @@ def conjugacy_orbit(group, g: int) -> Dict[int, int]:
     return orbit
 
 
+def class_centralizers(group) -> Iterator[Tuple[int, List[int]]]:
+    """One (g, gens) per conjugacy class, in element order of the first
+    member g: gens are the distinct non-identity Schreier generators
+    t_y x t_{y^x}^-1 (y in the orbit, x a pc generator) of the orbit walk,
+    so subgroup(group, gens) is the centralizer C_G(g)."""
+    identity = group.identity
+    pc_gens = group.generators
+    seen = set()
+    for g in group.elements():
+        if g in seen:
+            continue
+        orbit = conjugacy_orbit(group, g)
+        seen.update(orbit)
+        t_inv = {y: group.inv(t) for y, t in orbit.items()}
+        gens: Dict[int, None] = {}
+        for y, t in orbit.items():
+            for x in pc_gens:
+                s = group.mult(group.mult(t, x), t_inv[group.conj(y, x)])
+                if s != identity:
+                    gens[s] = None
+        yield g, list(gens)
+
+
 def _span_elements(basis: List[int]) -> List[int]:
     out = [0]
     for b in basis:
@@ -518,20 +541,24 @@ def _span_elements(basis: List[int]) -> List[int]:
 def conjugate_to_inverse_witness(group, g: int) -> Optional[int]:
     """Element h with h^-1 g h = g^-1, or None if g is not conjugate to g^-1."""
     if isinstance(group, PcGroup) and group.is_fast:
-        # g^-1 = g * g^-2 and conjugates of g are g * [g, G]; solve in the span.
-        target = group.inv(group.square(g))  # g^-2
-        span = Gf2Span()
-        vecs = [group.comm(g, x) for x in group.generators]
-        for v in vecs:
-            span.add(v)
-        combo = span.solve(target)
-        if combo is None:
-            return None
-        h = 0
-        for i in iter_bits(combo):
-            h = group.mult(h, group.generators[i])
-        return h
+        return _inverse_conjugator_fast(group, g)
     return conjugacy_orbit(group, g).get(group.inv(g))
+
+
+def _inverse_conjugator_fast(group: PcGroup, g: int) -> Optional[int]:
+    """Fast path: g^-1 = g * g^-2 and the conjugates of g are g * [g, G], so
+    solve for g^-2 = g^2 (central of order <= 2 here) in the GF(2) span of
+    the [g, x_i] and multiply out the generators of the combination."""
+    span = Gf2Span()
+    for x in group.generators:
+        span.add(group.comm(g, x))
+    combo = span.solve(group.square(g))
+    if combo is None:
+        return None
+    h = 0
+    for i in iter_bits(combo):
+        h = group.mult(h, group.generators[i])
+    return h
 
 
 @dataclass

@@ -16,7 +16,7 @@ from .pcgroup import (
     QuotientGroup,
     abelian_invariants_by_order_profile,
     conjugacy_classes,
-    standard_subgroups,
+    derived_subgroup,
 )
 
 
@@ -27,6 +27,11 @@ class CatalogError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
+
+# Elements are enumerated as range(2^n), and the class-<=2 conjugacy walk
+# allocates bytearray(2^n), 4 GiB at n = 32; larger ngens is rejected before
+# the n x n commutator table is allocated.
+MAX_NGENS = 32
 
 _GROUP_RE = re.compile(r"^group\s+(\S+)$")
 _NGENS_RE = re.compile(r"^ngens\s+(\d+)$")
@@ -84,6 +89,8 @@ def parse_catalog(text: str) -> List[PcGroup]:
             if not m:
                 raise CatalogError(lineno, "expected 'ngens <n>' after group header")
             n = int(m.group(1))
+            if n > MAX_NGENS:
+                raise CatalogError(lineno, f"ngens {n} exceeds the limit of {MAX_NGENS}")
             powers = [0] * n
             comms = [[0] * n for _ in range(n)]
             continue
@@ -168,8 +175,8 @@ class Fingerprint:
 
 
 def fingerprint(group) -> Fingerprint:
-    std = standard_subgroups(group)
-    ab = QuotientGroup(group, std.derived)
+    der = derived_subgroup(group)
+    ab = QuotientGroup(group, der)
     invariants = abelian_invariants_by_order_profile(ab.elements(), ab.element_order)
     classes = conjugacy_classes(group)
     orders: Dict[int, int] = {}
@@ -186,8 +193,8 @@ def fingerprint(group) -> Fingerprint:
     return Fingerprint(
         order=group.order,
         abelian_invariants=invariants,
-        center_order=std.center.order,
-        derived_order=std.derived.order,
+        center_order=sum(1 for c in classes if len(c.elements) == 1),
+        derived_order=der.order,
         exponent=exponent,
         class_sizes=tuple(sorted(len(c.elements) for c in classes)),
         conj_to_inverse_count=conj_inv,

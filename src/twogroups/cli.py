@@ -37,7 +37,6 @@ from .ktheory import (
 from .lhs import LhsError, dead_quartic_subspace, lhs_data_for, survives_deg4
 from .ooze import OozeError, compatible_pair_check, conjecture62_scan, lambda4_detect
 from .pcgroup import PcError, PcGroup, homomorphism
-from .parallel import set_worker_count
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -228,10 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--catalog", action="append", default=[], metavar="PATH",
         help="additional catalog file (may repeat)",
     )
-    common.add_argument(
-        "--threads", type=int, default=None, metavar="N",
-        help="worker parallelism for scans (default: all cores)",
-    )
     parser = argparse.ArgumentParser(
         prog="twogroups",
         description="Exact invariants of finite 2-groups from pc presentations",
@@ -280,12 +275,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
     args.started = started
-    if args.threads is not None:
-        try:
-            set_worker_count(args.threads)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
     try:
         groups = _load_groups(args.catalog)
     except (OSError, CatalogError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import Fingerprint, fingerprint
-from .linalg import Gf2Span, iter_bits
+from .linalg import elementary_coordinates, iter_bits
 from .pcgroup import (
     PcError,
     PcGroup,
@@ -26,6 +26,7 @@ from .pcgroup import (
     conjugacy_orbit,
     conjugate_to_inverse_witness,
     derived_subgroup,
+    standard_subgroups,
     subgroup,
 )
 from .homology import (
@@ -61,58 +62,37 @@ class WhPrimeData:
 def h1_wh_prime(group) -> WhPrimeData:
     """Rank r with H^1(Wh'(Z2^G)) isomorphic to (Z/2)^r.
 
-    Fast path for class-<=2 pc groups: conjugating witnesses are solved in
-    the GF(2) span of the generator commutators.  Otherwise one orbit walk
-    per class: if a_y^-1 r a_y = y for the class's first element r, then
-    h = a_y^-1 a_{y^-1} conjugates y to y^-1.
+    S is read off by membership of g^2 in [G,G].  Witnesses: on class-<=2
+    pc groups the GF(2) solve of `_inverse_conjugator_fast`; otherwise one
+    orbit walk per class, in element order: if a_y^-1 r a_y = y for the
+    class's first element r, then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
+    C contains [G,G], so it is normal, and every g in S has g^2 in [G,G]:
+    each newly witnessed g doubles C to C u Cg, which is how
+    `elementary_coordinates` builds it on top of [G,G].
     """
     der = derived_subgroup(group)
-    if isinstance(group, PcGroup) and group.is_fast:
-        return _h1_wh_prime_fast(group, der)
-    s_elems = frozenset(g for g in group.elements() if group.square(g) in der.elements)
+    fast = isinstance(group, PcGroup) and group.is_fast
+    s_elems = [g for g in group.elements() if group.square(g) in der.elements]
     witnesses: List[Tuple[int, int]] = []
-    c_gens = list(der.gens)
     orbit_of: Dict[int, Dict[int, int]] = {}
-    for g in sorted(s_elems, key=group.lexkey):
+    for g in s_elems:
         if g in der.elements:
             continue
-        if g not in orbit_of:
-            orbit = conjugacy_orbit(group, g)
-            orbit_of.update(dict.fromkeys(orbit, orbit))
-        orbit = orbit_of[g]
-        g_inv = group.inv(g)
-        if g_inv in orbit:
-            witnesses.append((g, group.mult(group.inv(orbit[g]), orbit[g_inv])))
-            c_gens.append(g)
-    s_sub = Subgroup(group, sorted(s_elems, key=group.lexkey), s_elems)
-    c_sub = subgroup(group, c_gens)
-    rank = (s_sub.order // c_sub.order).bit_length() - 1
-    return WhPrimeData(group, s_sub, c_sub, rank, witnesses)
-
-
-def _h1_wh_prime_fast(group: PcGroup, der: Subgroup) -> WhPrimeData:
-    dspan = Gf2Span()
-    for d in der.elements:
-        dspan.add(d)
-    s_elems = []
-    for g in group.elements():
-        if dspan.contains(group.square(g)):
-            s_elems.append(g)
-    witnesses: List[Tuple[int, int]] = []
-    cspan = Gf2Span()  # classes mod derived of the conjugate-to-inverse elements
-    c_gens = list(der.gens)
-    for g in s_elems:
-        if dspan.contains(g):
-            continue
-        h = _inverse_conjugator_fast(group, g)
-        if h is None:
-            continue
-        witnesses.append((g, h))
-        if cspan.add(dspan.reduce(g)):
-            c_gens.append(g)
+        if fast:
+            h = _inverse_conjugator_fast(group, g)
+        else:
+            if g not in orbit_of:
+                orbit = conjugacy_orbit(group, g)
+                orbit_of.update(dict.fromkeys(orbit, orbit))
+            orbit = orbit_of[g]
+            to_inv = orbit.get(group.inv(g))
+            h = None if to_inv is None else group.mult(group.inv(orbit[g]), to_inv)
+        if h is not None:
+            witnesses.append((g, h))
+    basis, table = elementary_coordinates(group.mult, der.elements, (g for g, _ in witnesses))
     s_set = frozenset(s_elems)
     s_sub = Subgroup(group, sorted(s_set, key=group.lexkey), s_set)
-    c_sub = subgroup(group, c_gens)
+    c_sub = Subgroup(group, der.gens + tuple(basis), frozenset(table))
     rank = (s_sub.order // c_sub.order).bit_length() - 1
     return WhPrimeData(group, s_sub, c_sub, rank, witnesses)
 
@@ -232,14 +212,11 @@ def central_extension_from_hom(cover_group, alpha) -> CentralExtensionData:
 
 
 def commutator_values(group) -> frozenset:
-    """The set {[g, h] : g, h in G} (not its span)."""
+    """The set {[g, h] : g, h in G} (not its span), over a transversal of
+    the center in both arguments: [gz, h] = [g, hz] = [g, h] for central z."""
     from .parallel import map_chunks
 
-    if isinstance(group, PcGroup) and group.is_fast:
-        # commutators depend only on classes modulo the center
-        elems: Sequence[int] = _center_transversal(group)
-    else:
-        elems = list(group.elements())
+    elems = _center_transversal(group)
 
     def scan(chunk):
         return {group.comm(g, h) for g in chunk for h in elems}
@@ -250,7 +227,9 @@ def commutator_values(group) -> frozenset:
     return frozenset(out)
 
 
-def _center_transversal(group: PcGroup) -> List[int]:
+def _center_transversal(group) -> List[int]:
+    """One element per coset of Z(G): [g, x_i] = [g', x_i] for every
+    generator x_i exactly when g'g^-1 is central."""
     gens = group.generators
     reps = []
     seen = set()
@@ -300,11 +279,9 @@ def thm41_check(ext: CentralExtensionData) -> CriterionResult:
 
 
 def find_commutator_pair(group, t: int) -> Optional[Tuple[int, int]]:
-    """A pair (a, b) with [a, b] = t, or None (brute force over pairs)."""
-    if isinstance(group, PcGroup) and group.is_fast:
-        elems: Sequence[int] = _center_transversal(group)
-    else:
-        elems = list(group.elements())
+    """A pair (a, b) with [a, b] = t, or None (brute force over pairs of
+    center coset representatives)."""
+    elems = _center_transversal(group)
     for a in elems:
         for b in elems:
             if group.comm(a, b) == t:
@@ -356,17 +333,12 @@ class ExtensionSearchEntry:
 def search_central_extensions(group) -> List[ExtensionSearchEntry]:
     """One entry per order-2 central commutator-subgroup element that is not
     itself a commutator; quotients are deduplicated by fingerprint."""
-    der = derived_subgroup(group)
-    center_elems = [
-        g
-        for g in group.elements()
-        if all(group.comm(g, x) == group.identity for x in group.generators)
-    ]
+    std = standard_subgroups(group)
     commutators = commutator_values(group)
     entries: List[ExtensionSearchEntry] = []
     seen_fps = []
-    for t in sorted(center_elems, key=group.lexkey):
-        if t == group.identity or t not in der.elements:
+    for t in std.center_cap_derived.sorted_elements():
+        if t == group.identity:
             continue
         if group.element_order(t) != 2 or t in commutators:
             continue

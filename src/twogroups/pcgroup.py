@@ -289,7 +289,7 @@ class PcGroup(_Powers):
         """
         bad: List[Tuple[int, ...]] = []
         gens = self.generators
-        mult = self._mult if not self._fast else self.mult
+        mult = self.mult
         for k in range(self.n - 1, -1, -1):
             gk = gens[k]
             # x_k x_k x_k
@@ -575,12 +575,7 @@ def standard_subgroups(group) -> StandardSubgroups:
         g for g in group.elements() if all(group.comm(g, x) == group.identity for x in gens)
     )
     center = Subgroup(group, sorted(center_elems, key=group.lexkey), center_elems)
-    comm_gens = []
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            if i != j:
-                comm_gens.append(group.comm(gens[i], gens[j]))
-    derived = subgroup(group, comm_gens, normal_closure=True)
+    derived = derived_subgroup(group)
     both = center_elems & derived.elements
     cap = Subgroup(group, sorted(both, key=group.lexkey), both)
     return StandardSubgroups(center, derived, cap)
@@ -784,42 +779,39 @@ def derived_subgroup(group) -> Subgroup:
     return subgroup(group, comm_gens, normal_closure=True)
 
 
-def abelianization(group) -> Abelianization:
+def abelianization(group: PcGroup) -> Abelianization:
     """Cyclic invariants and verified projection onto G/[G,G].
 
-    For a PcGroup the invariants come from the Smith normal form of the
-    abelianized relation matrix; the SNF transform also yields generators of
-    an internal direct-sum decomposition, which is re-verified on the
-    materialized quotient.
+    The invariants come from the Smith normal form of the abelianized
+    relation matrix of the pc presentation; the SNF transform also yields
+    generators of an internal direct-sum decomposition, which is
+    re-verified on the materialized quotient.
     """
     der = derived_subgroup(group)
     q = QuotientGroup(group, der)
-    if isinstance(group, PcGroup):
-        n = group.n
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[i] = 2
-            for j in iter_bits(group.powers[i]):
-                row[j] -= 1
-            rows.append(row)
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = group.comms[i][j]
-                if w:
-                    row = [0] * n
-                    for t in iter_bits(w):
-                        row[t] -= 1
-                    rows.append(row)
-        orders, gen_vecs = abelian_invariants_from_relations(rows, n)
-        factor_gens = []
-        for vec in gen_vecs:
-            g = q.identity
-            for i, e in enumerate(vec):
-                g = q.mult(g, q.power(q.project(1 << i), e))
-            factor_gens.append(g)
-    else:
-        orders, factor_gens = _abelian_decomposition_by_table(q)
+    n = group.n
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 2
+        for j in iter_bits(group.powers[i]):
+            row[j] -= 1
+        rows.append(row)
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = group.comms[i][j]
+            if w:
+                row = [0] * n
+                for t in iter_bits(w):
+                    row[t] -= 1
+                rows.append(row)
+    orders, gen_vecs = abelian_invariants_from_relations(rows, n)
+    factor_gens = []
+    for vec in gen_vecs:
+        g = q.identity
+        for i, e in enumerate(vec):
+            g = q.mult(g, q.power(q.project(1 << i), e))
+        factor_gens.append(g)
     pairs = sorted(zip(orders, factor_gens), key=lambda t: t[0])
     orders = [p[0] for p in pairs]
     factor_gens = [p[1] for p in pairs]
@@ -865,38 +857,6 @@ def abelian_invariants_by_order_profile(
         next_d = dims[k] if k < len(dims) else 0
         invariants.extend([1 << k] * (d_k - next_d))
     return tuple(sorted(invariants))
-
-
-def _abelian_decomposition_by_table(q) -> Tuple[List[int], List[int]]:
-    """Greedy basis of a finite abelian 2-group given by its element table."""
-    orders: List[int] = []
-    gens: List[int] = []
-    span = {q.identity}
-    remaining = sorted(q.elements(), key=lambda g: (-q.element_order(g), q.lexkey(g)))
-    for g in remaining:
-        if len(span) == q.order:
-            break
-        if g in span:
-            continue
-        m = q.element_order(g)
-        # direct-sum test: <g> intersects current span trivially
-        powers = []
-        p = q.identity
-        ok = True
-        for e in range(1, m):
-            p = q.mult(p, g)
-            if p in span:
-                ok = False
-                break
-            powers.append(p)
-        if not ok:
-            continue
-        gens.append(g)
-        orders.append(m)
-        span = {q.mult(s, x) for s in span for x in [q.identity] + powers}
-    if len(span) != q.order:
-        raise PcError("failed to decompose abelian group")
-    return orders, gens
 
 
 # -- tails collector ---------------------------------------------------------

@@ -149,11 +149,13 @@ def test_bad_catalog_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_threads_flag(capsys):
-    report = run_json(["h1whp", "D8", "--threads", "2"], capsys)
-    assert report["value"]["rank"] == 0
-    code, out, err = run_cli(["h1whp", "D8", "--threads", "0"], capsys)
+def test_absurd_ngens_is_usage_error(tmp_path, capsys):
+    # rejected before the n x n commutator table is allocated
+    path = tmp_path / "huge.cat"
+    path.write_text("group X\nngens 100000\nend\n")
+    code, out, err = run_cli(["info", "X", "--catalog", str(path)], capsys)
     assert code == 2
+    assert "line 2" in err and "ngens" in err
 
 
 def test_selftest_fault_injection_catalog(capsys):

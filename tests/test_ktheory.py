@@ -21,6 +21,7 @@ from twogroups.pcgroup import (
     TailCollector,
     derived_subgroup,
     homomorphism,
+    subgroup,
     trivial_subgroup,
 )
 
@@ -67,6 +68,24 @@ def test_h1_wh_prime_fast_matches_generic(cat):
         assert {a for a, _ in slow.witnesses} == {a for a, _ in fast.witnesses}, name
         for a, h in slow.witnesses:
             assert q.conj(a, h) == q.inv(a), name
+
+
+def test_h1_wh_prime_matches_brute_force(small_family):
+    # S/C from all |G|^2 pairs: [G,G] from every commutator, C from [G,G]
+    # and every g in S that some h conjugates to g^-1
+    for g in small_family:
+        pairs = [(a, b) for a in g.elements() for b in g.elements()]
+        der = subgroup(g, [g.comm(a, b) for a, b in pairs])
+        s_elems = {a for a in g.elements() if g.square(a) in der.elements}
+        inverted = {a for a, b in pairs if a in s_elems and g.conj(a, b) == g.inv(a)}
+        c = subgroup(g, list(der.elements) + sorted(inverted))
+        data = h1_wh_prime(g)
+        assert data.s_subgroup.elements == s_elems, g.name
+        assert data.c_subgroup.elements == c.elements, g.name
+        assert data.s_subgroup.order == c.order << data.rank, g.name
+        assert {a for a, _ in data.witnesses} == inverted - der.elements, g.name
+        for a, h in data.witnesses:
+            assert g.conj(a, h) == g.inv(a), g.name
 
 
 def test_sk1_values(cat):
@@ -145,10 +164,12 @@ def test_cross_validation_thm41_implies_sk1_nonzero(cat):
 
 
 def test_commutator_values_match_bruteforce(cat):
-    g = cat["SG128_1376"]
-    fast = commutator_values(g)
-    brute = {g.comm(a, b) for a in g.elements() for b in g.elements()}
-    assert fast == brute
+    # the second input, the cover of the cover of D8, is on the generic collector
+    twice = schur_cover(schur_cover(cat["D8"]).cover).cover
+    assert not twice.is_fast
+    for g in [cat["SG128_1376"], twice]:
+        brute = {g.comm(a, b) for a in g.elements() for b in g.elements()}
+        assert commutator_values(g) == brute, g.name
 
 
 def test_sk1_invariant_under_tail_permutation(cat, monkeypatch):

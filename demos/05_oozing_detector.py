@@ -59,5 +59,5 @@ print(f"  verdict: {report_bad.verdict}")
 print()
 print("=== cyclic-quotient parity scan (no homological filters) ===")
 for s in conjecture62_scan(cat["C8"]):
-    print(f"  C8: |N|={s.n_sub.order} |T|={s.t_sub.order} |W|={s.w_sub.order} "
+    print(f"  C8: |N|={s.n_order} |T|={s.t_order} |W|={s.w_order} "
           f"quotient C{s.cyclic_order}: {s.class_count} classes ({s.parity})")

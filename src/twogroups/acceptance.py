@@ -62,9 +62,9 @@ def crit_1_wh_prime_ranks() -> Tuple[bool, Dict]:
         got = h1_wh_prime(cat[name]).rank
         detail[name] = got
         ok &= got == 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     got = h1_wh_prime(cat["G16384"]).rank
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     detail["G16384"] = got
     ok &= got == 3
     ok &= _budget(detail, elapsed, 60.0)
@@ -110,7 +110,7 @@ def crit_3_extension_criteria() -> Tuple[bool, Dict]:
     cat = shipped_catalog()
     detail: Dict = {}
     ok = True
-    t0 = time.time()
+    t0 = time.perf_counter()
     for cover_name, sigma, quot_name in [
         ("SG256_8177", [7, 8], "SG128_1377"),
         ("SG256_8129", [5, 8], "SG128_1376"),
@@ -129,7 +129,7 @@ def crit_3_extension_criteria() -> Tuple[bool, Dict]:
             "thm42_flags": [e.thm42_holds for e in entries],
         }
         ok &= len(entries) == 1 and found == [True] and entries[0].thm42_holds
-    ok &= _budget(detail, time.time() - t0, 30.0)
+    ok &= _budget(detail, time.perf_counter() - t0, 30.0)
     return ok, detail
 
 
@@ -152,11 +152,11 @@ def crit_4_membership() -> Tuple[bool, Dict]:
         p("X6^2*X7+X6*X7^2"),
     ]
     detail: Dict = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     c1 = degree_membership(p("X1^4"), gens)
     c2 = degree_membership(p("X2^4"), gens)
     c3 = degree_membership(p("X3^4"), gens)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = (not c1.member) and c1.verify(p("X1^4"))
     ok &= c2.member and c2.verify(p("X2^4"))
     ok &= c3.member and c3.verify(p("X3^4"))
@@ -320,7 +320,7 @@ def crit_8_ganea() -> Tuple[bool, Dict]:
 
 
 def crit_9_compatible_pair() -> Tuple[bool, Dict]:
-    t0 = time.time()
+    t0 = time.perf_counter()
     pi, ext = _order256_tower()
     data = lhs_data_for(pi)
     report = compatible_pair_check(
@@ -333,16 +333,16 @@ def crit_9_compatible_pair() -> Tuple[bool, Dict]:
     ok = report.verdict == "compatible" and all(
         c.status == "pass" for c in report.conditions
     )
-    ok &= _budget(detail, time.time() - t0, 120.0)
+    ok &= _budget(detail, time.perf_counter() - t0, 120.0)
     return ok, detail
 
 
 def crit_10_lambda4() -> Tuple[bool, Dict]:
     cat = shipped_catalog()
     detail: Dict = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     r = lambda4_detect(cat["G16384"])
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     detail["G16384"] = r.verdict
     ok = r.verdict == "nonzero" and r.certificate is not None
     ok &= _budget(detail, elapsed, 300.0)
@@ -577,7 +577,7 @@ def run_all(verbose: bool = True, fault: Optional[str] = None) -> Tuple[bool, Li
     records: List[Dict] = []
     overall = True
     for cid, title, fn in CRITERIA:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             if fault == "d2-flip" and cid == "5":
                 ok, detail = _crit_5_with_flip()
@@ -586,7 +586,7 @@ def run_all(verbose: bool = True, fault: Optional[str] = None) -> Tuple[bool, Li
             error = None
         except Exception as exc:  # pragma: no cover - defensive
             ok, detail, error = False, {}, f"{type(exc).__name__}: {exc}"
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         records.append(
             {
                 "id": cid,

@@ -123,9 +123,6 @@ class F2Poly:
         degs = {sum(m) for m in self.monomials}
         return len(degs) <= 1
 
-    def homogeneous_component(self, d: int) -> "F2Poly":
-        return F2Poly(self.vars, [m for m in self.monomials if sum(m) == d])
-
     def leading_monomial(self) -> Monomial:
         if not self.monomials:
             raise PolyError("zero polynomial has no leading monomial")

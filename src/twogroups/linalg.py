@@ -142,10 +142,6 @@ def elementary_coordinates(
     return basis, table
 
 
-def dot2(a: int, b: int) -> int:
-    return (a & b).bit_count() & 1
-
-
 def _swap_rows(m: List[List[int]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
 

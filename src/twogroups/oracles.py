@@ -84,25 +84,6 @@ def quaternion_table_group() -> TableGroup:
     return TableGroup("Q8-units", units, table)
 
 
-def dihedral_table_group(n: int = 4) -> TableGroup:
-    """D_{2n} as symmetries of the n-gon (default order 8)."""
-    names = [f"r{k}" for k in range(n)] + [f"s{k}" for k in range(n)]
-
-    def mul(a: str, b: str) -> str:
-        ta, ka = a[0], int(a[1:])
-        tb, kb = b[0], int(b[1:])
-        if ta == "r" and tb == "r":
-            return f"r{(ka + kb) % n}"
-        if ta == "r" and tb == "s":
-            return f"s{(kb - ka) % n}"
-        if ta == "s" and tb == "r":
-            return f"s{(ka + kb) % n}"
-        return f"r{(kb - ka) % n}"
-
-    table = {(a, b): mul(a, b) for a in names for b in names}
-    return TableGroup(f"D{2 * n}-sym", names, table)
-
-
 def bar_h2(table_group: TableGroup) -> Tuple[int, ...]:
     """H_2(G; Z) from the normalized bar resolution (degree 2 and 3).
 

@@ -132,12 +132,6 @@ class PcGroup(_Powers):
 
     # -- generic collector ---------------------------------------------------
 
-    def _comm_val(self, i: int, j: int) -> int:
-        """[x_{i+1}, x_{j+1}] as an element, any i != j (0-based)."""
-        if i < j:
-            return self.comms[i][j]
-        return self.inv(self.comms[j][i])
-
     def _mult_gen(self, u: int, t: int) -> int:
         key = (u, t)
         hit = self._mult_gen_cache.get(key)

@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -50,13 +51,27 @@ def test_internal_key_error_is_not_unknown_group(monkeypatch, capsys):
         main(["h1whp", "D8"])
 
 
-def test_conj62_scale_bound_is_exit_1(capsys):
-    # G16384: 2^14 elements x 1920 surjective tuples, far above the bound
+def test_conj62_scale_bound_is_exit_1(tmp_path, capsys):
+    # C4^6 x C2: 8064 surjective tuples x |pi^ab| = 2^13, far above the bound
+    path = tmp_path / "wide.cat"
+    pows = "".join(f"pow {i} = {i + 1}\n" for i in range(1, 13, 2))
+    path.write_text(f"group C4x6xC2\nngens 13\n{pows}end\n")
     start = time.perf_counter()
-    code, out, err = run_cli(["conj62", "G16384"], capsys)
+    code, out, err = run_cli(["conj62", "C4x6xC2", "--catalog", str(path)], capsys)
     assert code == 1
-    assert "conj62 bound" in err and "16384 x 1920" in err
+    assert "conj62 bound" in err and "8064 x 8192" in err
     assert time.perf_counter() - start < 30
+
+
+def test_conj62_g16384(capsys):
+    # the paper's group: pi^ab = C2^3 x C4^4 has 1920 surjections onto C4,
+    # two per kernel; the element-set scan, run without a bound, gives the same
+    report = run_json(["conj62", "G16384"], capsys)
+    seqs = report["value"]["sequences"]
+    assert len(seqs) == 960
+    histogram = Counter((s["cyclic_quotient_order"], s["classes_in_T_minus_N"], s["parity"])
+                        for s in seqs)
+    assert histogram == {(4, 1040, "even"): 576, (4, 1200, "even"): 384}
 
 
 def test_missing_subcommand_is_usage_error(capsys):

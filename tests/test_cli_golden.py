@@ -3,9 +3,9 @@
 cli_golden.json holds one record per call: the arguments, the exit code,
 and either the report with timing_ms removed or, for a failing call, its
 stderr.  Left out are sk1 of SG256_8129, SG256_8177 and SG256_9039, which
-take more than about 0.3 s each, conj62 G16384, and selftest, whose
-report carries timings.  info, search-ext and lambda4 of G16384 are kept although they
-take about 1 s.
+take more than about 0.3 s each, and selftest, whose report carries
+timings.  info, search-ext, lambda4 and conj62 of G16384 are kept although
+they take about 1 s each.
 """
 
 import json

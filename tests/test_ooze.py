@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from twogroups.homology import commuting_wedge_span, schur_cover, commuting_wedges, wedge_space
@@ -11,7 +13,7 @@ from twogroups.ooze import (
     delta_map,
     lambda4_detect,
 )
-from twogroups.pcgroup import PcGroup, homomorphism
+from twogroups.pcgroup import PcGroup, abelianization, conjugacy_classes, homomorphism
 
 
 def m16():
@@ -20,6 +22,27 @@ def m16():
         [0, 1 << 2, 1 << 3, 0],
         [[0, 1 << 3, 0, 0], [0] * 4, [0] * 4, [0] * 4],
     )
+
+
+def c8_c4_twisted():
+    """C8 x| C4 with b a b^-1 = a^5."""
+    return PcGroup(
+        "C8xC4tw", 5,
+        [1 << 1, 0, 1 << 3, 1 << 4, 0],
+        [[0, 0, 1 << 4, 0, 0], [0] * 5, [0] * 5, [0] * 5, [0] * 5],
+    )
+
+
+def cyclic_product(*orders):
+    """C_m1 x C_m2 x ... as a pc group: each factor is a chain of squares."""
+    powers = []
+    for m in orders:
+        start = len(powers)
+        chain = m.bit_length() - 1
+        powers += [1 << (start + j + 1) for j in range(chain - 1)] + [0]
+    n = len(powers)
+    name = "x".join(f"C{m}" for m in orders)
+    return PcGroup(name, n, powers, [[0] * n for _ in range(n)], validate=True)
 
 
 def test_delta_g16384(cat):
@@ -196,7 +219,7 @@ def test_conj62_c8(cat):
     seqs = conjecture62_scan(cat["C8"])
     assert len(seqs) == 2
     big = next(s for s in seqs if s.cyclic_order == 8)
-    assert big.n_sub.order == 1 and big.t_sub.order == 2 and big.w_sub.order == 4
+    assert big.n_order == 1 and big.t_order == 2 and big.w_order == 4
     assert big.class_count == 1 and big.parity == "odd"
     assert all(not s.homological_filters_applied for s in seqs)
 
@@ -206,8 +229,8 @@ def test_conj62_m16(cat):
     assert seqs  # has a C4 quotient
     for s in seqs:
         assert s.cyclic_order >= 4
-        assert s.t_sub.order == 2 * s.n_sub.order
-        assert 2 * s.w_sub.order == 16
+        assert s.t_order == 2 * s.n_order
+        assert 2 * s.w_order == 16
 
 
 def test_conj62_exponent_two_ab_is_empty(cat):
@@ -222,17 +245,60 @@ def test_conj62_abelian(cat):
     assert seqs, "C2xC4 has a C4 quotient"
 
 
+def conj62_oracle(group):
+    """conjecture62_scan by brute force: N, T and W as element sets, every
+    homomorphism onto Z/2^k tried, and kernels deduplicated by set."""
+    ab = abelianization(group)
+    coords = ab.coordinates()
+    images = {g: coords[ab.quotient.project(g)] for g in group.elements()}
+    classes = conjugacy_classes(group)
+    out = []
+    for k in range(2, max(ab.invariants, default=1).bit_length()):
+        target = 1 << k
+        choices = [range(0, target, target // min(m, target)) for m in ab.invariants]
+        kernels = set()
+        for combo in itertools.product(*choices):
+            phi = {g: sum(c * e for c, e in zip(combo, x)) % target for g, x in images.items()}
+            if len(set(phi.values())) != target:
+                continue  # not onto Z/2^k
+            n = frozenset(g for g, v in phi.items() if v == 0)
+            if n in kernels:
+                continue
+            kernels.add(n)
+            t = {g for g, v in phi.items() if v % (target // 2) == 0}
+            w = {g for g, v in phi.items() if v % 2 == 0}
+            inside = [cls for cls in classes if set(cls.elements) <= t - n]
+            assert sum(len(cls.elements) for cls in inside) == len(t - n)
+            out.append({
+                "N_order": len(n),
+                "T_order": len(t),
+                "W_order": len(w),
+                "cyclic_quotient_order": target,
+                "classes_in_T_minus_N": len(inside),
+                "parity": "odd" if len(inside) % 2 else "even",
+                "homological_filters_applied": False,
+            })
+    return out
+
+
+def test_conj62_matches_element_set_oracle(small_family):
+    groups = small_family + [m16(), c8_c4_twisted()]
+    groups += [cyclic_product(*orders) for orders in [(4, 8), (2, 4, 8), (4, 16), (16,)]]
+    nonempty = 0
+    for g in groups:
+        got = [s.as_dict() for s in conjecture62_scan(g)]
+        assert got == conj62_oracle(g), g.name
+        nonempty += bool(got)
+    assert nonempty >= 10
+
+
 def test_lambda4_undecided_on_non_lhs_group():
     # C8 x| C4 with b a b^-1 = a^5: H^1(Wh') has rank 1, but the Frattini
     # subgroup is not elementary abelian, so neither the certificate nor the
     # sound zero argument applies; the honest verdict is "undecided"
     from twogroups.ktheory import h1_wh_prime
 
-    g = PcGroup(
-        "C8xC4tw", 5,
-        [1 << 1, 0, 1 << 3, 1 << 4, 0],
-        [[0, 0, 1 << 4, 0, 0], [0] * 5, [0] * 5, [0] * 5, [0] * 5],
-    )
+    g = c8_c4_twisted()
     assert h1_wh_prime(g).rank == 1
     report = lambda4_detect(g)
     assert report.verdict == "undecided"

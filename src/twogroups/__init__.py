@@ -10,7 +10,7 @@ survival, the lambda_4 oozing detector, and compatible-pair certification.
 __version__ = "0.1.0"
 
 from .catalog import Fingerprint, fingerprint, parse_catalog, serialize, shipped_catalog, shipped_group
-from .f2poly import F2Poly, degree_membership, groebner, parse_poly, sq1
+from .f2poly import F2Poly, degree_membership, parse_poly, sq1
 from .homology import CoverData, commuting_wedges, h2_integral, schur_cover, wedge_space
 from .ktheory import (
     CentralExtensionData,
@@ -75,7 +75,6 @@ __all__ = [
     "delta_map",
     "extension_class_rep",
     "fingerprint",
-    "groebner",
     "h1_wh_prime",
     "h2_integral",
     "homomorphism",

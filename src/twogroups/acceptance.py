@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import catalog as cat_mod
 from .catalog import fingerprint, parse_catalog, shipped_catalog
-from .f2poly import F2Poly, degree_membership, in_ideal_groebner, parse_poly, sq1
+from .f2poly import F2Poly, degree_membership, parse_poly, sq1
 from .homology import schur_cover, wedge_space
 from .ktheory import (
     central_extension,
@@ -33,7 +33,7 @@ from .ooze import (
     conjecture62_scan,
     lambda4_detect,
 )
-from .oracles import bar_h2, kunneth_h2_of_cyclic_product, pc_to_table
+from .oracles import bar_h2, in_ideal_groebner, kunneth_h2_of_cyclic_product, pc_to_table
 from .pcgroup import PcGroup, QuotientGroup, homomorphism, subgroup
 from .ktheory import central_extension_from_hom
 

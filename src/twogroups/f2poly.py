@@ -342,105 +342,3 @@ def degree_membership(
     if not cert.verify(f):
         raise PolyError("internal error: certificate failed re-expansion")
     return cert
-
-
-# -- Buchberger over GF(2), graded-lex ----------------------------------------
-
-
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def normal_form(f: F2Poly, basis: Sequence[F2Poly]) -> F2Poly:
-    """Remainder of f under leading-term reduction by basis (grlex)."""
-    lead = [(g.leading_monomial(), g) for g in basis if not g.is_zero()]
-    work = f
-    result = F2Poly.zero(f.vars)
-    while not work.is_zero():
-        lm = work.leading_monomial()
-        for glm, g in lead:
-            if _mono_divides(glm, lm):
-                cof = F2Poly(f.vars, [_mono_div(lm, glm)])
-                work = work + cof * g
-                break
-        else:
-            head = F2Poly(f.vars, [lm])
-            result = result + head
-            work = work + head
-    return result
-
-
-def groebner(
-    gens: Sequence[F2Poly], max_degree: Optional[int] = None
-) -> List[F2Poly]:
-    """Reduced Groebner basis (Buchberger, grlex, coefficients in GF(2)).
-
-    With `max_degree` set and all generators homogeneous, S-pairs whose lcm
-    exceeds that degree are skipped; because grlex is degree-compatible the
-    result still decides membership for homogeneous f of degree <= max_degree.
-    """
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    if max_degree is not None and any(not g.is_homogeneous() for g in basis):
-        raise PolyError("degree truncation requires homogeneous generators")
-    variables = basis[0].vars
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        i, j = pairs.pop()
-        fi, fj = basis[i], basis[j]
-        lmi, lmj = fi.leading_monomial(), fj.leading_monomial()
-        lcm = _mono_lcm(lmi, lmj)
-        # Buchberger's first criterion: coprime leading monomials
-        if lcm == tuple(x + y for x, y in zip(lmi, lmj)):
-            continue
-        if max_degree is not None and sum(lcm) > max_degree:
-            continue
-        s = F2Poly(variables, [_mono_div(lcm, lmi)]) * fi + F2Poly(
-            variables, [_mono_div(lcm, lmj)]
-        ) * fj
-        r = normal_form(s, basis)
-        if not r.is_zero():
-            basis.append(r)
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    # minimalize
-    minimal: List[F2Poly] = []
-    leads = [g.leading_monomial() for g in basis]
-    for i, g in enumerate(basis):
-        if any(
-            j != i and _mono_divides(leads[j], leads[i])
-            and (leads[j] != leads[i] or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        minimal.append(g)
-    # reduce
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others) if others else g
-        if not r.is_zero():
-            reduced.append(r)
-    reduced.sort(key=lambda p: _grlex_key(p.leading_monomial()))
-    return reduced
-
-
-def in_ideal_groebner(
-    f: F2Poly, gens: Sequence[F2Poly], max_degree: Optional[int] = None
-) -> bool:
-    if max_degree is None and f.is_homogeneous() and all(
-        g.is_homogeneous() for g in gens
-    ):
-        max_degree = f.degree()
-    gb = groebner(gens, max_degree=max_degree)
-    if not gb:
-        return f.is_zero()
-    return normal_form(f, gb).is_zero()

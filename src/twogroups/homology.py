@@ -112,12 +112,7 @@ def schur_cover(group: PcGroup) -> CoverData:
         for l, p in enumerate(chain[:-1]):
             powers[p] = 1 << chain[l + 1]
     cover = PcGroup(f"Cover({group.name})", n_sc, powers, comms, validate=True)
-    epi = GroupHom(
-        cover,
-        group,
-        [1 << i for i in range(n)] + [0] * (n_sc - n),
-        verify=True,
-    )
+    epi = GroupHom(cover, group, [1 << i for i in range(n)] + [0] * (n_sc - n))
     if not epi.is_surjective():
         raise PcError("cover projection is not surjective")
     kernel_gens = [1 << chain[0] for chain in chain_pos]
@@ -184,15 +179,9 @@ def commuting_wedges(group: PcGroup, cover: CoverData) -> Subgroup:
     centralizer generator) of `class_centralizers` generate the same
     subgroup as all commuting pairs."""
     sc = cover.cover
-    seen = set()
-    gens = []
-    for g, centralizer_gens in class_centralizers(group):
-        for h in centralizer_gens:
-            w = sc.comm(g, h)
-            if w and w not in seen:
-                seen.add(w)
-                gens.append(w)
-    sub = subgroup(sc, gens)
+    sub = subgroup(
+        sc, (sc.comm(g, h) for g, gens in class_centralizers(group) for h in gens)
+    )
     if not sub.elements <= cover.stem_part.elements:
         raise PcError("commuting wedges escaped the stem part")
     return sub

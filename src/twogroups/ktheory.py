@@ -121,20 +121,11 @@ class SK1Data:
         return stem_element not in self.wedges.elements
 
     def witnesses(self) -> List[int]:
-        """Stem-part elements generating SK_1 (one new generator at a time)."""
-        sc = self.cover.cover
-        out: List[int] = []
-        gens = list(self.wedges.gens)
-        span = self.wedges.elements
-        for g in self.cover.stem_part.sorted_elements():
-            if g in span:
-                continue
-            out.append(g)
-            gens.append(g)
-            span = subgroup(sc, gens).elements
-            if len(span) == self.cover.stem_part.order:
-                break
-        return out
+        """Stem-part elements generating SK_1: the kept generators of the
+        closure of the wedges and then the stem part in element order."""
+        gens = list(self.wedges.gens) + self.cover.stem_part.sorted_elements()
+        span = subgroup(self.cover.cover, gens)
+        return [g for g in span.gens if g not in self.wedges.elements]
 
     def as_dict(self) -> Dict:
         return {

@@ -25,10 +25,10 @@ from .pcgroup import (
     PcError,
     PcGroup,
     QuotientGroup,
-    Subgroup,
     abelianization,
     conjugacy_classes,
     cyclic_coordinates,
+    subgroup,
 )
 from .ktheory import (
     CentralExtensionData,
@@ -89,12 +89,6 @@ class DeltaMap:
         if key not in self.sc_table:
             raise OozeError("element does not lie in S")
         return self.sc_table[key]
-
-    def value_on_mask(self, mask: int) -> int:
-        out = 0
-        for j in iter_bits(mask):
-            out ^= self.matrix[j]
-        return out
 
     def as_dict(self) -> Dict:
         g = self.group
@@ -377,16 +371,8 @@ def lambda4_detect(group: PcGroup) -> Lambda4Report:
         v1 = dec.v_elems[i]
         if v1 in wh.c_subgroup.elements:
             raise OozeError("certificate factor has delta(v_1) = 0")
-        kernel_elems = frozenset(
-            g
-            for g in group.elements()
-            if coords[q.project(g)][i] % 2 == 0
-        )
-        n_sub = Subgroup(
-            group,
-            _generating_set(group, kernel_elems),
-            kernel_elems,
-        )
+        kernel_elems = [g for g in group.elements() if coords[q.project(g)][i] % 2 == 0]
+        n_sub = subgroup(group, sorted(kernel_elems, key=group.lexkey))
         cert = {
             "factor_index": i + 1,
             "projection_functional": {
@@ -408,30 +394,6 @@ def lambda4_detect(group: PcGroup) -> Lambda4Report:
             "remaining candidate factors have order >= 4 (open conjecture territory)"
         )
     return Lambda4Report(verdict="undecided", reasons=reasons)
-
-
-def _generating_set(group, elements: frozenset) -> List[int]:
-    """Small generating set of a materialized subgroup (incremental closure)."""
-    gens: List[int] = []
-    span = {group.identity}
-    for g in sorted(elements, key=group.lexkey):
-        if g in span:
-            continue
-        gens.append(g)
-        frontier = [x for x in (group.mult(s, g) for s in list(span)) if x not in span]
-        span.update(frontier)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for h in gens:
-                    y = group.mult(x, h)
-                    if y not in span:
-                        span.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if len(span) == len(elements):
-            break
-    return gens
 
 
 # -- compatible pairs -----------------------------------------------------------

@@ -11,6 +11,7 @@ of its inputs (caches are internal memo tables only).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -388,39 +389,40 @@ class Subgroup:
         return f"Subgroup(<{gens}> in {self.group.name}, order={self.order})"
 
 
-def _close(group, gens: Sequence[int]) -> frozenset:
+def subgroup(group, gens: Iterable[int], normal_closure: bool = False) -> Subgroup:
+    """Smallest (normal) subgroup containing gens, element set materialized.
+
+    Candidates are taken in order and one already inside is skipped.  A new
+    generator g adds the coset H*g and closes it under right multiplication
+    by the kept generators: every element of <H, g> outside H is h*g*w.
+    For the normal closure the conjugates of each kept generator by the
+    group's generators are queued as further candidates, so the result is
+    normalized by every generator (the normal closure of Holt, Eick and
+    O'Brien, Handbook of CGT).  `gens` of the result are the kept
+    generators, irredundant and in input order."""
+    mult = group.mult
     elems = {group.identity}
-    frontier = [group.identity]
-    gens = [g for g in gens if g != group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = group.mult(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(elems)
-
-
-def subgroup(group, gens: Sequence[int], normal_closure: bool = False) -> Subgroup:
-    """Smallest (normal) subgroup containing gens, element set materialized."""
-    gens = list(dict.fromkeys(gens))
-    elems = _close(group, gens)
-    if normal_closure:
-        while True:
-            new = []
-            for h in elems:
-                for x in group.generators:
-                    y = group.conj(h, x)
+    kept: List[int] = []
+    queue = deque(gens)
+    while queue:
+        g = queue.popleft()
+        if g in elems:
+            continue
+        kept.append(g)
+        frontier = [mult(h, g) for h in elems]
+        elems.update(frontier)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for k in kept:
+                    y = mult(x, k)
                     if y not in elems:
-                        new.append(y)
-            if not new:
-                break
-            gens.extend(new)
-            elems = _close(group, gens)
-    return Subgroup(group, gens, elems)
+                        elems.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        if normal_closure:
+            queue.extend(group.conj(g, x) for x in group.generators)
+    return Subgroup(group, kept, frozenset(elems))
 
 
 def trivial_subgroup(group) -> Subgroup:
@@ -579,11 +581,11 @@ class GroupHom:
     """Homomorphism determined by images of the root pc generators.
 
     The image of a normal form is the ordered product of generator images,
-    so `apply` is exact for any map that is a homomorphism; `verify`
-    checks the defining relations and raises otherwise.
+    so `apply` is exact for any map that is a homomorphism; the defining
+    relations are checked on construction, which raises otherwise.
     """
 
-    def __init__(self, source, target, images: Sequence[int], verify: bool = True):
+    def __init__(self, source, target, images: Sequence[int]):
         self.source = source
         self.target = target
         root = source
@@ -593,10 +595,9 @@ class GroupHom:
         self.images = tuple(images)
         if len(self.images) != root.n:
             raise PcError("need one image per pc generator of the source root")
-        if verify:
-            failure = self.relation_failure()
-            if failure is not None:
-                raise PcError(f"map does not respect relation {failure}")
+        failure = self.relation_failure()
+        if failure is not None:
+            raise PcError(f"map does not respect relation {failure}")
 
     def apply(self, g: int) -> int:
         t = self.target
@@ -628,8 +629,8 @@ class GroupHom:
         return None
 
     def is_surjective(self) -> bool:
-        img = _close(self.target, [self.apply(g) for g in self.source.generators])
-        return len(img) == self.target.order
+        img = subgroup(self.target, [self.apply(g) for g in self.source.generators])
+        return img.order == self.target.order
 
     def kernel(self) -> Subgroup:
         elems = frozenset(
@@ -640,7 +641,7 @@ class GroupHom:
 
 def homomorphism(source: PcGroup, target, images: Sequence[int]) -> GroupHom:
     """Verified homomorphism from generator images; raises PcError if invalid."""
-    return GroupHom(source, target, images, verify=True)
+    return GroupHom(source, target, images)
 
 
 class QuotientGroup(_Powers):
@@ -672,7 +673,7 @@ class QuotientGroup(_Powers):
         while isinstance(root, QuotientGroup):
             root = root.base
         images = [canon[base.root_image(1 << i)] for i in range(root.n)]
-        self.projection = GroupHom(base, self, images, verify=True)
+        self.projection = GroupHom(base, self, images)
         if not self.projection.is_surjective():
             raise PcError("projection failed surjectivity check")
 

@@ -6,13 +6,11 @@ from twogroups.f2poly import (
     F2Poly,
     PolyError,
     degree_membership,
-    groebner,
-    in_ideal_groebner,
     monomials_of_degree,
-    normal_form,
     parse_poly,
     sq1,
 )
+from twogroups.oracles import groebner, in_ideal_groebner, normal_form
 
 V7 = tuple(f"X{i}" for i in range(1, 8))
 

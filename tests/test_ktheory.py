@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import RKM, rkm
 from twogroups.catalog import fingerprint
 from twogroups.homology import schur_cover
 from twogroups.ktheory import (
@@ -56,8 +57,10 @@ def test_h1_wh_prime_ranks(cat, name, rank):
 
 
 def test_h1_wh_prime_fast_matches_generic(cat):
-    for name in ["SG128_1376", "SG128_1377", "SG256_9039", "D8", "Q8", "C2xC4"]:
-        g = cat[name]
+    names = ["SG128_1376", "SG128_1377", "SG256_9039", "D8", "Q8", "C2xC4"]
+    groups = [cat[name] for name in names] + [rkm(k, m, seed) for k, m, seed in RKM]
+    for g in groups:
+        name = g.name
         fast = h1_wh_prime(g)
         # G/1 is not a PcGroup, so h1_wh_prime takes the generic orbit path
         q = QuotientGroup(g, trivial_subgroup(g))

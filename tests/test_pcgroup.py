@@ -119,6 +119,34 @@ def test_subgroup_examples(cat):
     assert plain.elements == closure.elements
 
 
+def _brute_closure(g, gens, normal):
+    # fixpoint of all products, and of all conjugates by all elements
+    elems = {g.identity, *gens}
+    while True:
+        new = {g.mult(a, b) for a in elems for b in elems}
+        if normal:
+            new |= {g.conj(a, x) for a in elems for x in g.elements()}
+        if new <= elems:
+            return elems
+        elems |= new
+
+
+def test_subgroup_matches_brute_force_closure(small_family):
+    rng = random.Random(RNG_SEED)
+    for g in small_family:
+        for _ in range(3):
+            gens = [rng.randrange(g.order) for _ in range(rng.randint(1, 3))]
+            for normal in (False, True):
+                sub = subgroup(g, gens, normal_closure=normal)
+                assert sub.elements == _brute_closure(g, gens, normal), (g.name, gens)
+                if not normal:  # the kept generators are a subsequence of gens
+                    it = iter(gens)
+                    assert all(k in it for k in sub.gens), (g.name, gens)
+                for i, k in enumerate(sub.gens):
+                    assert k not in _brute_closure(g, sub.gens[:i], False), (g.name, gens)
+                assert subgroup(g, sub.gens).elements == sub.elements, (g.name, gens)
+
+
 def test_standard_subgroups(cat):
     g = cat["SG256_8177"]
     std = standard_subgroups(g)

@@ -15,6 +15,7 @@ from .pcgroup import (
     PcGroup,
     QuotientGroup,
     abelian_invariants_by_order_profile,
+    check_element_walk,
     conjugacy_classes,
     derived_subgroup,
 )
@@ -28,9 +29,9 @@ class CatalogError(ValueError):
         self.line = line
 
 
-# Elements are enumerated as range(2^n), and the class-<=2 conjugacy walk
-# allocates bytearray(2^n), 4 GiB at n = 32; larger ngens is rejected before
-# the n x n commutator table is allocated.
+# Elements are enumerated as range(2^n); the scans over all of them stop at
+# pcgroup.ELEMENT_WALK_BOUND, and larger ngens is rejected before the n x n
+# commutator table is allocated.
 MAX_NGENS = 32
 
 _GROUP_RE = re.compile(r"^group\s+(\S+)$")
@@ -175,6 +176,7 @@ class Fingerprint:
 
 
 def fingerprint(group) -> Fingerprint:
+    check_element_walk(group, "fingerprint")
     der = derived_subgroup(group)
     ab = QuotientGroup(group, der)
     invariants = abelian_invariants_by_order_profile(ab.elements(), ab.element_order)

@@ -26,6 +26,7 @@ from .pcgroup import (
     GroupHom,
     PcError,
     PcGroup,
+    ScaleError,
     Subgroup,
     TailCollector,
     abelian_invariants_by_order_profile,
@@ -35,10 +36,6 @@ from .pcgroup import (
 )
 
 COVER_ORDER_BOUND = 1 << 10
-
-
-class ScaleError(ValueError):
-    """Input exceeds the documented desk-scale bound for this operation."""
 
 
 @dataclass

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import Fingerprint, fingerprint
-from .linalg import elementary_coordinates, iter_bits
+from .linalg import Gf2Span, elementary_coordinates, iter_bits
 from .pcgroup import (
     PcError,
     PcGroup,
     QuotientGroup,
     Subgroup,
     _inverse_conjugator_fast,
+    check_element_walk,
     conjugacy_classes,
     conjugacy_orbit,
     conjugate_to_inverse_witness,
@@ -63,15 +64,21 @@ def h1_wh_prime(group) -> WhPrimeData:
     """Rank r with H^1(Wh'(Z2^G)) isomorphic to (Z/2)^r.
 
     S is read off by membership of g^2 in [G,G].  Witnesses: on class-<=2
-    pc groups the GF(2) solve of `_inverse_conjugator_fast`; otherwise one
-    orbit walk per class, in element order: if a_y^-1 r a_y = y for the
-    class's first element r, then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
+    pc groups the GF(2) solve of `_inverse_conjugator_fast` once per coset
+    g ^ [G,G] ([G,G] is central of exponent 2, so (gc)^2 = g^2 and [gc, x_i]
+    = [g, x_i]); otherwise one orbit walk per class, in element order: if
+    a_y^-1 r a_y = y for the class's first element r, then h = a_y^-1 a_{y^-1}
+    conjugates y to y^-1.
     C contains [G,G], so it is normal, and every g in S has g^2 in [G,G]:
     each newly witnessed g doubles C to C u Cg, which is how
     `elementary_coordinates` builds it on top of [G,G].
     """
+    check_element_walk(group, "h1_wh_prime")
     der = derived_subgroup(group)
     fast = isinstance(group, PcGroup) and group.is_fast
+    if fast:
+        der_span = Gf2Span(der.gens)
+        solved: Dict[int, Optional[int]] = {}
     s_elems = [g for g in group.elements() if group.square(g) in der.elements]
     witnesses: List[Tuple[int, int]] = []
     orbit_of: Dict[int, Dict[int, int]] = {}
@@ -79,7 +86,10 @@ def h1_wh_prime(group) -> WhPrimeData:
         if g in der.elements:
             continue
         if fast:
-            h = _inverse_conjugator_fast(group, g)
+            key = der_span.reduce(g)
+            if key not in solved:
+                solved[key] = _inverse_conjugator_fast(group, g)
+            h = solved[key]
         else:
             if g not in orbit_of:
                 orbit = conjugacy_orbit(group, g)

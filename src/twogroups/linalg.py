@@ -26,9 +26,11 @@ class Gf2Span:
     is what membership certificates are made of.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, vecs: Iterable[int] = ()) -> None:
         self._rows: List[Tuple[int, int]] = []  # (vector, combination mask)
         self._n_inserted = 0
+        for vec in vecs:
+            self.add(vec)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -75,10 +77,7 @@ class Gf2Span:
 
 
 def gf2_rank(rows: Sequence[int]) -> int:
-    span = Gf2Span()
-    for row in rows:
-        span.add(row)
-    return span.rank
+    return Gf2Span(rows).rank
 
 
 def gf2_kernel(rows: Sequence[int], ncols: int) -> List[int]:
@@ -87,10 +86,7 @@ def gf2_kernel(rows: Sequence[int], ncols: int) -> List[int]:
     Rows are vectors of length ncols; the kernel is the orthogonal
     complement of their span under the dot-product pairing.
     """
-    span = Gf2Span()
-    for row in rows:
-        span.add(row)
-    basis = span.basis()
+    basis = Gf2Span(rows).basis()
     # Row-reduce fully (RREF) so pivot columns are clean.
     basis = sorted(basis, key=lambda r: r & -r)
     for i, row in enumerate(basis):

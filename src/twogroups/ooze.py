@@ -125,10 +125,7 @@ def delta_map(group, ab: Optional[Abelianization] = None,
         keys,
     )
     matrix = [coord_table[k] for k in keys]
-    rank_span = Gf2Span()
-    for m in matrix:
-        rank_span.add(m)
-    rank = rank_span.rank
+    rank = Gf2Span(matrix).rank
     if rank != wh.rank:
         raise OozeError(
             f"delta is not surjective: matrix rank {rank} != H^1 rank {wh.rank}"
@@ -584,9 +581,7 @@ def _span_intersection(basis1: Sequence[int], basis2: Sequence[int]) -> List[int
     """Basis of span(basis1) ∩ span(basis2); enumerates the smaller span."""
     if len(basis1) > len(basis2):
         basis1, basis2 = basis2, basis1
-    span2 = Gf2Span()
-    for b in basis2:
-        span2.add(b)
+    span2 = Gf2Span(basis2)
     out = Gf2Span()
     basis = []
     vecs = [0]

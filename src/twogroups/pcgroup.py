@@ -15,21 +15,36 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import Gf2Span, abelian_invariants_from_relations, iter_bits
+from .linalg import Gf2Span, abelian_invariants_from_relations, gf2_kernel, iter_bits, transpose_masks
 
 Word = Sequence[Tuple[int, int]]  # (1-based generator index, exponent)
+
+# Largest |G| for the scans that visit every element (conjugacy classes,
+# H^1(Wh') and so lambda_4, fingerprint); see README "Scale bounds".
+ELEMENT_WALK_BOUND = 1 << 20
 
 
 class PcError(ValueError):
     """Malformed or inconsistent power-commutator data."""
 
 
+class ScaleError(ValueError):
+    """Input exceeds the documented desk-scale bound for this operation."""
+
+
+def check_element_walk(group, what: str) -> None:
+    """Raise ScaleError before `what` walks all |G| > ELEMENT_WALK_BOUND elements."""
+    if group.order > ELEMENT_WALK_BOUND:
+        raise ScaleError(
+            f"{what} bound is |G| <= 2^{ELEMENT_WALK_BOUND.bit_length() - 1}, "
+            f"got |G| = 2^{group.order.bit_length() - 1}"
+        )
+
+
 def _lexkey(bits: int, n: int) -> int:
-    """Order normal forms by exponent tuple (e_1, ..., e_n) lexicographically."""
-    key = 0
-    for i in range(n):
-        key = (key << 1) | (bits >> i & 1)
-    return key
+    """Order normal forms by exponent tuple (e_1, ..., e_n) lexicographically:
+    the n-bit reversal of bits."""
+    return int(format(bits, f"0{n}b")[::-1], 2)
 
 
 class _Powers:
@@ -440,48 +455,39 @@ def conjugacy_classes(group) -> List[ConjugacyClass]:
     """Partition of the group into conjugacy classes with centralizer orders.
 
     For class-<=2 pc groups the class of g is the coset g*[g,G] with [g,G]
-    the GF(2) span of the generator commutators; otherwise a generic orbit
-    walk is used.
+    the GF(2) span of the generator commutators, which depends only on the
+    coset of g modulo the center, so it is built once per center coset;
+    otherwise a generic orbit walk is used.
     """
+    check_element_walk(group, "conjugacy_classes")
+    classes = []
+
+    def add(members) -> None:
+        elements = tuple(sorted(members, key=group.lexkey))
+        classes.append(ConjugacyClass(elements[0], elements, group.order // len(elements)))
+
     if isinstance(group, PcGroup) and group.is_fast:
+        center = center_span(group)
+        spans: Dict[int, List[int]] = {}
         seen = bytearray(group.order)
-        classes = []
         for g in range(group.order):
             if seen[g]:
                 continue
-            span = Gf2Span()
-            for x in group.generators:
-                span.add(group.comm(g, x))
-            members = [g]
-            for combo in _span_elements(span.basis()):
-                if combo:
-                    members.append(g ^ combo)
+            key = center.reduce(g)
+            if key not in spans:
+                span = Gf2Span(group.comm(g, x) for x in group.generators)
+                spans[key] = _span_elements(span.basis())
+            members = [g ^ c for c in spans[key]]
             for m in members:
                 seen[m] = 1
-            size = len(members)
-            classes.append(
-                ConjugacyClass(
-                    rep=min(members, key=group.lexkey),
-                    elements=tuple(sorted(members, key=group.lexkey)),
-                    centralizer_order=group.order // size,
-                )
-            )
-        classes.sort(key=lambda c: group.lexkey(c.rep))
-        return classes
-    seen = set()
-    classes = []
-    for g in group.elements():
-        if g in seen:
-            continue
-        orbit = conjugacy_orbit(group, g)
-        seen.update(orbit)
-        classes.append(
-            ConjugacyClass(
-                rep=min(orbit, key=group.lexkey),
-                elements=tuple(sorted(orbit, key=group.lexkey)),
-                centralizer_order=group.order // len(orbit),
-            )
-        )
+            add(members)
+    else:
+        seen = set()
+        for g in group.elements():
+            if g not in seen:
+                orbit = conjugacy_orbit(group, g)
+                seen.update(orbit)
+                add(orbit)
     classes.sort(key=lambda c: group.lexkey(c.rep))
     return classes
 
@@ -527,6 +533,15 @@ def class_centralizers(group) -> Iterator[Tuple[int, List[int]]]:
         yield g, list(gens)
 
 
+def center_span(group: PcGroup) -> Gf2Span:
+    """Fast path: g -> ([g, x_i])_i is GF(2)-linear in the bits of g with
+    kernel Z(G), so `reduce` of this span keys the center coset of g.
+    rows[j] packs the [x_j, x_i], n bits per i."""
+    n = group.n
+    rows = [sum(group.comm(1 << j, 1 << i) << (i * n) for i in range(n)) for j in range(n)]
+    return Gf2Span(gf2_kernel(transpose_masks(rows), n))
+
+
 def _span_elements(basis: List[int]) -> List[int]:
     out = [0]
     for b in basis:
@@ -545,9 +560,7 @@ def _inverse_conjugator_fast(group: PcGroup, g: int) -> Optional[int]:
     """Fast path: g^-1 = g * g^-2 and the conjugates of g are g * [g, G], so
     solve for g^-2 = g^2 (central of order <= 2 here) in the GF(2) span of
     the [g, x_i] and multiply out the generators of the combination."""
-    span = Gf2Span()
-    for x in group.generators:
-        span.add(group.comm(g, x))
+    span = Gf2Span(group.comm(g, x) for x in group.generators)
     combo = span.solve(group.square(g))
     if combo is None:
         return None

@@ -10,6 +10,8 @@ SHIPPED_SMALL = ["C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8",
                  "SG128_1376", "SG128_1377"]
 # (k, m, seed): R(k,m) of order 2^(k+m) <= 2^7
 RKM = [(3, 2, 1), (3, 2, 2), (4, 2, 1), (4, 2, 2), (4, 3, 1), (4, 3, 2), (3, 4, 3)]
+# order 2^10, for the per-coset fast paths: [G,G]-cosets of 2^4 and 2^5
+RKM_LARGER = [(6, 4, 1), (5, 5, 2)]
 COVERED = ["D8", "C8", "C2xC4"]
 # covers of covers, all on the generic collector (orders 16, 64, 32)
 TWICE_COVERED = ["C2xC2", "C2xC4", "D8"]

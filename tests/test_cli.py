@@ -6,6 +6,7 @@ import pytest
 
 from twogroups import cli
 from twogroups.cli import main
+from twogroups.pcgroup import ELEMENT_WALK_BOUND
 
 
 def run_cli(argv, capsys):
@@ -144,6 +145,19 @@ def test_determinism_excluding_timing(capsys):
     a.pop("timing_ms")
     b.pop("timing_ms")
     assert a == b
+
+
+@pytest.mark.parametrize("command", ["info", "h1whp", "lambda4"])
+def test_element_walk_bound_is_exit_1(tmp_path, capsys, command):
+    # C2^n with 2^n one step past the bound: refused before any element walk
+    n = ELEMENT_WALK_BOUND.bit_length()
+    path = tmp_path / "big.cat"
+    path.write_text(f"group C2x{n}\nngens {n}\nend\n")
+    start = time.perf_counter()
+    code, out, err = run_cli([command, f"C2x{n}", "--catalog", str(path)], capsys)
+    assert code == 1
+    assert f"bound is |G| <= 2^{n - 1}, got |G| = 2^{n}" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_custom_catalog(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import RKM, rkm
+from conftest import RKM, RKM_LARGER, rkm
 from twogroups.catalog import fingerprint
 from twogroups.homology import schur_cover
 from twogroups.ktheory import (
@@ -20,6 +20,7 @@ from twogroups.pcgroup import (
     PcGroup,
     QuotientGroup,
     TailCollector,
+    _inverse_conjugator_fast,
     derived_subgroup,
     homomorphism,
     subgroup,
@@ -89,6 +90,22 @@ def test_h1_wh_prime_matches_brute_force(small_family):
         assert {a for a, _ in data.witnesses} == inverted - der.elements, g.name
         for a, h in data.witnesses:
             assert g.conj(a, h) == g.inv(a), g.name
+
+
+def test_h1_wh_prime_coset_witness_matches_per_element_solve(small_family):
+    # the solve is made once per coset of [G,G] and reused; every g in
+    # S - [G,G] must get what its own solve gives
+    groups = [g for g in small_family if g.is_fast] + [rkm(*a) for a in RKM_LARGER]
+    for g in groups:
+        data = h1_wh_prime(g)
+        der = derived_subgroup(g)
+        per_element = []
+        for a in g.elements():
+            if a in data.s_subgroup.elements and a not in der.elements:
+                h = _inverse_conjugator_fast(g, a)
+                if h is not None:
+                    per_element.append((a, h))
+        assert data.witnesses == per_element, g.name
 
 
 def test_sk1_values(cat):

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+from conftest import RKM_LARGER, rkm
 from twogroups.linalg import smith_normal_form
 from twogroups.oracles import pc_to_table, quaternion_table_group
 from twogroups.pcgroup import (
     PcError,
+    QuotientGroup,
+    _lexkey,
     abelianization,
+    center_span,
     conjugacy_classes,
     conjugate_to_inverse_witness,
     homomorphism,
@@ -84,6 +88,35 @@ def test_conjugacy_matches_table_oracle(cat):
     assert sum(len(c.elements) for c in classes) == q8.order
     for c in classes:
         assert len(c.elements) * c.centralizer_order == q8.order
+
+
+def test_lexkey_matches_exponent_tuple_loop():
+    # the key packs (e_1, ..., e_n) with e_1 most significant
+    def loop_key(bits, n):
+        key = 0
+        for i in range(n):
+            key = (key << 1) | (bits >> i & 1)
+        return key
+
+    rng = random.Random(RNG_SEED)
+    for n in range(33):
+        values = range(1 << n) if n <= 10 else [rng.getrandbits(n) for _ in range(500)]
+        for bits in list(values) + [0, (1 << n) - 1]:
+            assert _lexkey(bits, n) == loop_key(bits, n), (bits, n)
+
+
+def test_fast_classes_match_generic_orbit_walk(small_family):
+    # G/1 is not a PcGroup, so conjugacy_classes takes the generic orbit walk
+    groups = [g for g in small_family if g.is_fast] + [rkm(*a) for a in RKM_LARGER]
+    for g in groups:
+        fast = conjugacy_classes(g)
+        slow = conjugacy_classes(QuotientGroup(g, trivial_subgroup(g)))
+        assert [(c.rep, c.elements, c.centralizer_order) for c in fast] == [
+            (c.rep, c.elements, c.centralizer_order) for c in slow
+        ], g.name
+        center = standard_subgroups(g).center
+        assert 1 << center_span(g).rank == center.order, g.name
+        assert all(center_span(g).reduce(z) == 0 for z in center.elements), g.name
 
 
 def test_abelian_classes_are_singletons(cat):

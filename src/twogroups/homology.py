@@ -65,20 +65,15 @@ def schur_cover(group: PcGroup) -> CoverData:
     m = tc.m
     if not rows:
         rows = [[0] * m]
-    diag, v, _vinv = smith_normal_form(rows)
+    # the exponent of H_2 divides |G| (Schur), so mod 2|G| a zero is free
+    diag, v, _vinv = smith_normal_form(rows, 2 * group.order)
     free = [j for j in range(m) if diag[j] == 0]
     if len(free) != group.n:
         raise PcError(
             "tails relation matrix has wrong free rank "
             f"({len(free)} != {group.n}); inconsistent input?"
         )
-    torsion: List[Tuple[int, int]] = []  # (column, order)
-    for j in range(m):
-        d = diag[j]
-        if d not in (0, 1):
-            if d & (d - 1):
-                raise PcError(f"non-2-power tail invariant {d}")
-            torsion.append((j, d))
+    torsion = [(j, d) for j, d in enumerate(diag) if d > 1]  # (column, order)
     n = group.n
     chain_pos: List[List[int]] = []
     pos = n

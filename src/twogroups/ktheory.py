@@ -334,6 +334,7 @@ class ExtensionSearchEntry:
 def search_central_extensions(group) -> List[ExtensionSearchEntry]:
     """One entry per order-2 central commutator-subgroup element that is not
     itself a commutator; quotients are deduplicated by fingerprint."""
+    check_element_walk(group, "search_central_extensions")
     std = standard_subgroups(group)
     commutators = commutator_values(group)
     entries: List[ExtensionSearchEntry] = []

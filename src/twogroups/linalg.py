@@ -1,7 +1,7 @@
-"""Exact linear algebra: GF(2) bitset rows and integer Smith normal form.
+"""Exact linear algebra: GF(2) bitset rows and the 2-adic Smith normal form.
 
-GF(2) vectors are Python ints; bit i is coordinate i.  Matrices over Z are
-lists of lists of ints (exact, arbitrary precision).
+GF(2) vectors are Python ints; bit i is coordinate i.  Integer matrices are
+lists of lists of ints, reduced modulo a power of two by the Smith form.
 """
 
 from __future__ import annotations
@@ -138,153 +138,65 @@ def elementary_coordinates(
     return basis, table
 
 
-def _swap_rows(m: List[List[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m: List[List[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
 def smith_normal_form(
-    matrix: Sequence[Sequence[int]],
+    matrix: Sequence[Sequence[int]], modulus: int
 ) -> Tuple[List[int], List[List[int]], List[List[int]]]:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+    """Smith normal form over Z/modulus, for a power-of-two modulus.
 
-    Returns (diag, V, Vinv) where D = U * A * V for some unimodular U (not
-    returned), V is unimodular with inverse Vinv, and diag lists the
-    diagonal of D padded with zeros to the column count.  diag satisfies the
-    divisibility chain d1 | d2 | ...
+    Returns (diag, V, Vinv) with U * A * V = D and V * Vinv = I (mod
+    modulus) for some U invertible mod modulus (not returned); V is a
+    product of swaps and integer transvections, so it lifts to a unimodular
+    integer matrix.  diag lists the diagonal of D padded with zeros to the
+    column count; each entry is a power of two dividing the next, and 0
+    means "divisible by modulus".  When the cokernel of A over Z is a free
+    part plus a 2-group of exponent below modulus, diag is its Smith form
+    with the free columns at the zeros, exactly.
+
+    Each step pivots on an entry of least 2-adic valuation, scales its odd
+    part away (a unit), and clears its column by row operations and its row
+    by column operations.  Valuations never drop, so no repair pass follows.
     """
-    a = [list(row) for row in matrix]
+    if modulus < 2 or modulus & (modulus - 1):
+        raise ValueError(f"modulus must be a power of two >= 2, got {modulus}")
+    mask = modulus - 1
+    a = [[x & mask for x in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def col_op(dst: int, src: int, q: int) -> None:
-        # col_dst += q * col_src
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        # inverse op on vinv: row_src -= q * row_dst
-        vinv[src] = [x - q * y for x, y in zip(vinv[src], vinv[dst])]
-
-    def swap_cols(i: int, j: int) -> None:
-        _swap_cols(a, i, j)
-        _swap_cols(v, i, j)
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def row_op(dst: int, src: int, q: int) -> None:
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-
-    def pivot_at(k: int) -> Optional[Tuple[int, int]]:
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    vinv = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    diag = [0] * cols
+    for k in range(min(rows, cols)):
         best = None
         for i in range(k, rows):
             for j in range(k, cols):
-                if a[i][j] != 0:
-                    if best is None or abs(a[i][j]) < abs(a[best[0]][best[1]]):
-                        best = (i, j)
-        return best
-
-    k = 0
-    limit = min(rows, cols)
-    while k < limit:
-        loc = pivot_at(k)
-        if loc is None:
+                x = a[i][j]
+                if x and (best is None or x & -x < best[0]):
+                    best = (x & -x, i, j)
+            if best is not None and best[0] == 1:
+                break  # a unit: no later entry has lower valuation
+        if best is None:
             break
-        i, j = loc
-        if i != k:
-            _swap_rows(a, i, k)
+        pivot, i, j = best
+        a[i], a[k] = a[k], a[i]
         if j != k:
-            swap_cols(j, k)
-        while True:
-            # Clear column k with row ops, then row k with column ops;
-            # repeat until both are clear (pivot may shrink to a divisor).
-            dirty = False
-            for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    row_op(i, k, -q)
-                    if a[i][k] != 0:
-                        _swap_rows(a, i, k)
-                        dirty = True
-            for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    col_op(j, k, -q)
-                    if a[k][j] != 0:
-                        swap_cols(j, k)
-                        dirty = True
-            if not dirty:
-                break
-        if a[k][k] < 0:
-            for i in range(rows):
-                a[i][k] = -a[i][k]
-            for i in range(cols):
-                v[i][k] = -v[i][k]
-            vinv[k] = [-x for x in vinv[k]]
-        k += 1
-
-    # Enforce the divisibility chain d_k | d_{k+1}.
-    changed = True
-    while changed:
-        changed = False
-        for t in range(min(rows, cols) - 1):
-            d1, d2 = a[t][t], a[t + 1][t + 1]
-            if d1 != 0 and d2 % d1 != 0:
-                col_op(t, t + 1, 1)
-                # re-clear the 2x2 block
-                while a[t + 1][t] != 0 or a[t][t + 1] != 0:
-                    if a[t + 1][t] != 0:
-                        q = a[t + 1][t] // a[t][t] if a[t][t] != 0 else 0
-                        row_op(t + 1, t, -q)
-                        if a[t + 1][t] != 0:
-                            _swap_rows(a, t + 1, t)
-                    if a[t][t + 1] != 0:
-                        q = a[t][t + 1] // a[t][t] if a[t][t] != 0 else 0
-                        col_op(t + 1, t, -q)
-                        if a[t][t + 1] != 0:
-                            swap_cols(t + 1, t)
-                if a[t][t] < 0:
-                    for i in range(rows):
-                        a[i][t] = -a[i][t]
-                    for i in range(cols):
-                        v[i][t] = -v[i][t]
-                    vinv[t] = [-x for x in vinv[t]]
-                if a[t + 1][t + 1] < 0:
-                    for i in range(rows):
-                        a[i][t + 1] = -a[i][t + 1]
-                    for i in range(cols):
-                        v[i][t + 1] = -v[i][t + 1]
-                    vinv[t + 1] = [-x for x in vinv[t + 1]]
-                changed = True
-
-    diag = [a[i][i] if i < rows else 0 for i in range(cols)]
+            for row in a:
+                row[j], row[k] = row[k], row[j]
+            for row in v:
+                row[j], row[k] = row[k], row[j]
+            vinv[j], vinv[k] = vinv[k], vinv[j]
+        shift = pivot.bit_length() - 1
+        unit = pow(a[k][k] >> shift, -1, modulus)
+        top = a[k] = [x * unit & mask for x in a[k]]
+        for i in range(k + 1, rows):
+            q = a[i][k] >> shift
+            if q:
+                a[i] = [(x - q * y) & mask for x, y in zip(a[i], top)]
+        for j in range(k + 1, cols):
+            q = top[j] >> shift
+            if q:
+                top[j] = 0
+                for row in v:
+                    row[j] = (row[j] - q * row[k]) & mask
+                vinv[k] = [(x + q * y) & mask for x, y in zip(vinv[k], vinv[j])]
+        diag[k] = pivot
     return diag, v, vinv
-
-
-def abelian_invariants_from_relations(
-    relation_rows: Sequence[Sequence[int]], ngens: int
-) -> Tuple[List[int], List[List[int]]]:
-    """Invariant factors > 1 of Z^ngens modulo the relation row space.
-
-    Returns (orders, new_gens) where new_gens[j] is the exponent vector of
-    the j-th new generator in terms of the old ones and orders[j] its order
-    (0 means infinite).  Trivial factors are dropped.
-    """
-    rows = [list(r) for r in relation_rows]
-    if not rows:
-        rows = [[0] * ngens]
-    diag, _v, vinv = smith_normal_form(rows)
-    orders = []
-    gens = []
-    for j in range(ngens):
-        d = diag[j] if j < len(diag) else 0
-        if d == 1:
-            continue
-        orders.append(d)
-        gens.append(list(vinv[j]))
-    return orders, gens

@@ -41,7 +41,6 @@ from .ktheory import (
 from .homology import (
     ScaleError,
     commuting_wedge_span,
-    h2_integral,
     wedge_space,
 )
 from .lhs import (
@@ -524,7 +523,7 @@ def compatible_pair_check(
     tz = theta * z
     surv = survives_deg4(lhs, tz)
     sq1z = _reduce_mod(lhs.ideal_closed, sq1(z), 3)
-    h2 = h2_integral(group)
+    h2 = sk.cover.h2_invariants
     h2_exp_two = all(d == 2 for d in h2)
     if surv.verdict == "survives_page4" and not sq1z.is_zero() and h2_exp_two:
         add(

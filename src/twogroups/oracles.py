@@ -1,11 +1,14 @@
 """Independent oracles used by the verification suite.
 
 These deliberately avoid the production code paths: H_2 via the normalized
-bar resolution (exact integer Smith forms), Kunneth for products of cyclic
-groups, literal multiplication-table groups, and ideal membership by a
-Buchberger Groebner basis.  They exist so that the tails-method covers, the
-pc collector, the conjugacy machinery and the degree-d membership systems
-can be checked against something that shares no code with them.
+bar resolution, Kunneth for products of cyclic groups, literal
+multiplication-table groups, and ideal membership by a Buchberger Groebner
+basis.  They exist so that the tails-method covers, the pc collector, the
+conjugacy machinery and the degree-d membership systems can be checked
+against something that shares no group-theoretic code with them.  The bar
+oracle does share `linalg.smith_normal_form` with the tails covers, applied
+to different matrices; the SNF itself is checked against determinantal
+divisors in the tests.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def quaternion_table_group() -> TableGroup:
 def bar_h2(table_group: TableGroup) -> Tuple[int, ...]:
     """H_2(G; Z) from the normalized bar resolution (degree 2 and 3).
 
-    Exact over Z; intended for |G| <= 16.
+    Smith forms over Z/2^N, exact for a 2-group G; intended for |G| <= 16.
     """
     e = table_group.identity
     elems = [g for g in table_group.element_names if g != e]
@@ -107,8 +110,12 @@ def bar_h2(table_group: TableGroup) -> Tuple[int, ...]:
             m2[idx1[gh]][col] -= 1
         m2[idx1[g]][col] += 1
 
-    diag, v, vinv = smith_normal_form(m2)
+    # coker d2 = G^ab: mod 2|G|^2 the kernel coordinates of a cycle are
+    # determined mod 2|G|, which exceeds the exponent of H_2
+    order = table_group.order
+    diag, _v, vinv = smith_normal_form(m2, 2 * order * order)
     ncols = len(pairs)
+    modulus = 2 * order
     kernel_pos = [j for j in range(ncols) if diag[j] == 0]
     kpos_index = {j: i for i, j in enumerate(kernel_pos)}
 
@@ -129,6 +136,7 @@ def bar_h2(table_group: TableGroup) -> Tuple[int, ...]:
         for col, c in col_entries:
             for r in range(ncols):
                 y[r] += c * vinv[r][col]
+        y = [x % modulus for x in y]
         for j in range(ncols):
             if j not in kpos_index and y[j] != 0:
                 raise ValueError("bar boundary escaped the kernel lattice")
@@ -142,7 +150,7 @@ def bar_h2(table_group: TableGroup) -> Tuple[int, ...]:
     rows.discard(tuple(0 for _ in kernel_pos))
     if not rows:
         rows = {tuple(0 for _ in kernel_pos)}
-    diag2, _v2, _vinv2 = smith_normal_form([list(r) for r in rows])
+    diag2, _v2, _vinv2 = smith_normal_form([list(r) for r in rows], modulus)
     invariants = []
     for j in range(len(kernel_pos)):
         d = diag2[j] if j < len(diag2) else 0

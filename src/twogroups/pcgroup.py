@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import Gf2Span, abelian_invariants_from_relations, gf2_kernel, iter_bits, transpose_masks
+from .linalg import Gf2Span, gf2_kernel, iter_bits, smith_normal_form, transpose_masks
 
 Word = Sequence[Tuple[int, int]]  # (1-based generator index, exponent)
 
@@ -813,12 +813,17 @@ def abelianization(group: PcGroup) -> Abelianization:
                 for t in iter_bits(w):
                     row[t] -= 1
                 rows.append(row)
-    orders, gen_vecs = abelian_invariants_from_relations(rows, n)
+    # G^ab is a 2-group of exponent dividing |G|: no entry of diag is 0
+    diag, _v, vinv = smith_normal_form(rows, 2 * group.order)
+    orders = []
     factor_gens = []
-    for vec in gen_vecs:
+    for d, vec in zip(diag, vinv):
+        if d == 1:
+            continue
         g = q.identity
         for i, e in enumerate(vec):
             g = q.mult(g, q.power(q.project(1 << i), e))
+        orders.append(d)
         factor_gens.append(g)
     pairs = sorted(zip(orders, factor_gens), key=lambda t: t[0])
     orders = [p[0] for p in pairs]

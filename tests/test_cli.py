@@ -1,12 +1,21 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from conftest import rkm
 from twogroups import cli
+from twogroups.catalog import serialize_catalog
 from twogroups.cli import main
 from twogroups.pcgroup import ELEMENT_WALK_BOUND
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv, capsys):
@@ -147,7 +156,7 @@ def test_determinism_excluding_timing(capsys):
     assert a == b
 
 
-@pytest.mark.parametrize("command", ["info", "h1whp", "lambda4"])
+@pytest.mark.parametrize("command", ["info", "h1whp", "lambda4", "search-ext"])
 def test_element_walk_bound_is_exit_1(tmp_path, capsys, command):
     # C2^n with 2^n one step past the bound: refused before any element walk
     n = ELEMENT_WALK_BOUND.bit_length()
@@ -158,6 +167,26 @@ def test_element_walk_bound_is_exit_1(tmp_path, capsys, command):
     assert code == 1
     assert f"bound is |G| <= 2^{n - 1}, got |G| = 2^{n}" in err
     assert time.perf_counter() - start < 5
+
+
+def test_cover_finishes_on_growth_seeds(tmp_path):
+    # tails matrices on which a Smith form over Z ran for minutes: each call
+    # runs in a child process, so that a hang fails here instead of stalling
+    groups = [rkm(5, 4, 4504), rkm(6, 4, 604)]
+    path = tmp_path / "growth.cat"
+    path.write_text(serialize_catalog(groups))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
+    for g in groups:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twogroups.cli", "cover", g.name,
+             "--catalog", str(path), "--json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        value = json.loads(proc.stdout)["value"]
+        assert value["stem_order"] == math.prod(value["h2_invariants"])
+        assert value["cover_order"] == g.order * value["kernel_order"]
 
 
 def test_custom_catalog(tmp_path, capsys):

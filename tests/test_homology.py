@@ -19,11 +19,44 @@ def c4c4():
     return PcGroup("C4xC4", 4, [1 << 2, 1 << 3, 0, 0], [[0] * 4 for _ in range(4)])
 
 
+def cyclic_product(exponents):
+    """C_{2^e1} x C_{2^e2} x ...: one chain of squaring generators per factor."""
+    n = sum(exponents)
+    powers = [0] * n
+    pos = 0
+    for e in exponents:
+        for i in range(pos, pos + e - 1):
+            powers[i] = 1 << (i + 1)
+        pos += e
+    name = "x".join(f"C{1 << e}" for e in exponents)
+    return PcGroup(name, n, powers, [[0] * n for _ in range(n)], validate=True)
+
+
+def random_presentations(seed, count):
+    """Seeded random consistent pc presentations of order 4 and 8: random
+    power and commutator words, kept when they pass validation."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice([2, 3, 3])
+        powers = [rng.getrandbits(n) >> (i + 1) << (i + 1) for i in range(n)]
+        comms = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                comms[i][j] = rng.getrandbits(n) >> (j + 1) << (j + 1)
+        try:
+            out.append(PcGroup(f"P{seed}_{len(out)}", n, powers, comms, validate=True))
+        except PcError:
+            continue
+    return out
+
+
 def test_stem_part_matches_bar_oracle(cat):
-    for name in ["C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8"]:
-        g = cat[name]
+    groups = [cat[name] for name in ["C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8"]]
+    groups += random_presentations(seed=9, count=24)
+    for g in groups:
         cover = schur_cover(g)
-        assert cover.h2_invariants == bar_h2(pc_to_table(g)), name
+        assert cover.h2_invariants == bar_h2(pc_to_table(g)), g.name
 
 
 def test_kunneth_oracle(cat):
@@ -32,6 +65,11 @@ def test_kunneth_oracle(cat):
         [2, 2, 2]
     )
     assert schur_cover(c4c4()).h2_invariants == kunneth_h2_of_cyclic_product([4, 4]) == (4,)
+    # up to 2^10, with torsion up to Z/32 in the tails Smith form
+    for exponents in [[10], [5, 5], [1, 2, 3, 4], [3, 3, 4], [1, 1, 8], [2, 3]]:
+        g = cyclic_product(exponents)
+        expected = kunneth_h2_of_cyclic_product([1 << e for e in exponents])
+        assert schur_cover(g).h2_invariants == expected, g.name
 
 
 def test_cover_structure(cat):
@@ -85,7 +123,7 @@ def test_tails_invariants_stable_under_permutation(cat):
     g = cat["SG128_1377"]
     tc = TailCollector(g)
     rows = tc.consistency_rows()
-    diag, _, _ = smith_normal_form(rows)
+    diag, _, _ = smith_normal_form(rows, 2 * g.order)
     base = sorted(d for d in diag if d not in (0, 1))
     for _ in range(5):
         shuffled = [list(r) for r in rows]
@@ -93,7 +131,7 @@ def test_tails_invariants_stable_under_permutation(cat):
         cols = list(range(tc.m))
         rng.shuffle(cols)
         permuted = [[row[c] for c in cols] for row in shuffled]
-        diag2, _, _ = smith_normal_form(permuted)
+        diag2, _, _ = smith_normal_form(permuted, 2 * g.order)
         assert sorted(d for d in diag2 if d not in (0, 1)) == base
 
 

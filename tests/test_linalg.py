@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
+
+import pytest
 
 from twogroups.linalg import (
     Gf2Span,
-    abelian_invariants_from_relations,
     gf2_kernel,
     gf2_rank,
     smith_normal_form,
@@ -16,40 +19,88 @@ def mat_mul(a, b):
     ]
 
 
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations: no elimination."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(m)) for j in range(i + 1, len(m)))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def determinantal_invariants(a):
+    """Invariant factors d_k = D_k / D_{k-1} over Z, D_k the gcd of the
+    k x k minors; 0 once the minors vanish."""
+    rows, cols = len(a), len(a[0])
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                dk = math.gcd(dk, leibniz_det([[a[r][c] for c in cs] for r in rs]))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out + [0] * (cols - len(out))
+
+
+def two_part_mod(d, modulus):
+    """The 2-part of d as a Smith entry mod modulus: 0 if d == 0 or if the
+    2-part is divisible by modulus."""
+    if d == 0:
+        return 0
+    part = d & -d
+    return 0 if part % modulus == 0 else part
+
+
 def test_smith_diag_divisibility_and_transforms():
     rng = random.Random(11)
-    for _ in range(60):
+    for trial in range(150):
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
         a = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        diag, v, vinv = smith_normal_form(a)
-        ident = mat_mul(v, vinv)
+        modulus = 1 << rng.choice([1, 3, 6, 12])
+        diag, v, vinv = smith_normal_form(a, modulus)
+        expected = [two_part_mod(d, modulus) for d in determinantal_invariants(a)]
+        assert diag == expected, (a, modulus)
+        ident = [[x % modulus for x in row] for row in mat_mul(v, vinv)]
         assert ident == [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-        nonzero = [d for d in diag if d != 0]
-        for x, y in zip(nonzero, nonzero[1:]):
-            assert y % x == 0
-        # rowspace is preserved: A*V has the diagonal as its Smith form again
+        # column j of A*V is U^-1 times column j of D, so d_j divides it
         av = mat_mul(a, v)
-        diag2, _, _ = smith_normal_form(av)
-        assert diag2 == diag
+        for j, d in enumerate(diag):
+            assert all(row[j] % (d or modulus) == 0 for row in av), (a, modulus, j)
 
 
 def test_smith_known_values():
-    diag, _, _ = smith_normal_form([[2, 0], [0, 4]])
+    diag, _, _ = smith_normal_form([[2, 0], [0, 4]], 16)
     assert diag == [2, 4]
-    diag, _, _ = smith_normal_form([[2, 4], [4, 2]])
-    assert diag == [2, 6]
-    diag, _, _ = smith_normal_form([[1, 0, 0]])
+    # over Z the Smith form is [2, 6]; the odd factor 3 is a unit 2-adically
+    diag, _, _ = smith_normal_form([[2, 4], [4, 2]], 16)
+    assert diag == [2, 2]
+    diag, _, _ = smith_normal_form([[1, 0, 0]], 16)
     assert diag == [1, 0, 0]
+    # a 2-part at or above the modulus reads as 0
+    diag, _, _ = smith_normal_form([[3, 0], [0, 16]], 16)
+    assert diag == [1, 0]
+    with pytest.raises(ValueError):
+        smith_normal_form([[1]], 12)
 
 
-def test_abelian_invariants_from_relations():
-    # Z^2 / <2e1, 4e2> = Z/2 + Z/4
-    orders, gens = abelian_invariants_from_relations([[2, 0], [0, 4]], 2)
-    assert sorted(orders) == [2, 4]
-    # Z^2 / <e1 + e2> = Z  (one infinite factor)
-    orders, gens = abelian_invariants_from_relations([[1, 1]], 2)
-    assert orders == [0]
+def test_smith_cokernel_generators():
+    # Z^2 / <2e1, 4e2> = Z/2 + Z/4, generated by the rows of Vinv
+    diag, v, vinv = smith_normal_form([[2, 0], [0, 4]], 8)
+    assert diag == [2, 4]
+    assert vinv == [[1, 0], [0, 1]]
+    # Z^2 / <e1 + e2> = Z: the relation becomes the first coordinate, and
+    # the free second coordinate is the class of e2
+    diag, v, vinv = smith_normal_form([[1, 1]], 8)
+    assert diag == [1, 0]
+    assert [x % 8 for x in mat_mul([[1, 1]], v)[0]] == [1, 0]
+    assert [x % 8 for x in mat_mul([[0, 1]], v)[0]][1] == 1
 
 
 def test_gf2_span_solve_and_reduce():

@@ -259,7 +259,7 @@ def test_abelianization_snf_oracle_g16384(cat):
         row = [0] * 14
         row[z] = -1
         rows.append(row)
-    diag, _, _ = smith_normal_form(rows)
+    diag, _, _ = smith_normal_form(rows, 2 * cat["G16384"].order)
     invariants = sorted(d for d in diag if d not in (0, 1))
     assert invariants == [2, 2, 2, 4, 4, 4, 4]
 

@@ -13,11 +13,11 @@ from .linalg import iter_bits
 from .pcgroup import (
     PcError,
     PcGroup,
-    QuotientGroup,
-    abelian_invariants_by_order_profile,
+    Subgroup,
     check_element_walk,
     conjugacy_classes,
     derived_subgroup,
+    subquotient_invariants,
 )
 
 
@@ -178,8 +178,8 @@ class Fingerprint:
 def fingerprint(group) -> Fingerprint:
     check_element_walk(group, "fingerprint")
     der = derived_subgroup(group)
-    ab = QuotientGroup(group, der)
-    invariants = abelian_invariants_by_order_profile(ab.elements(), ab.element_order)
+    whole = Subgroup(group, group.generators, frozenset(group.elements()))
+    invariants = subquotient_invariants(group, whole, der)
     classes = conjugacy_classes(group)
     orders: Dict[int, int] = {}
     exponent = 1

@@ -11,6 +11,7 @@ in a copy of H_2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,13 +30,20 @@ from .pcgroup import (
     ScaleError,
     Subgroup,
     TailCollector,
-    abelian_invariants_by_order_profile,
     class_centralizers,
     derived_subgroup,
     subgroup,
+    subquotient_invariants,
+    trivial_subgroup,
 )
 
 COVER_ORDER_BOUND = 1 << 10
+# The cover's derived subgroup, closed element by element, has |[G,G]| |H_2|
+# elements, and its cost follows that count.  In-process on a 2-core machine:
+# 2^15 (R(6,4) seed 604) 3.4 s; 2^16 (R(4,6) seed 1) 5.2 s at 177 MB; 2^17
+# (R(4,6) seed 2, |H_2| = 2^12) 16.8 s at 535 MB; 2^18 (R(3,7) seed 3) 41 s at
+# 1 GB; C2^7 (|H_2| = 2^21) 292 s at 642 MB.
+COVER_DERIVED_BOUND = 1 << 16
 
 
 @dataclass
@@ -54,7 +62,8 @@ class CoverData:
 def schur_cover(group: PcGroup) -> CoverData:
     """Cover with central kernel meeting [SC,SC] in H_2(G; Z).
 
-    Tails scale bound: |G| <= 2^10.
+    Tails scale bounds: |G| <= 2^10, and |[G,G]| |H_2(G)| <= 2^16 with
+    |H_2(G)| read off the Smith form, checked before the cover is built.
     """
     if group.order > COVER_ORDER_BOUND:
         raise ScaleError(
@@ -74,6 +83,12 @@ def schur_cover(group: PcGroup) -> CoverData:
             f"({len(free)} != {group.n}); inconsistent input?"
         )
     torsion = [(j, d) for j, d in enumerate(diag) if d > 1]  # (column, order)
+    derived_order = derived_subgroup(group).order * math.prod(d for _j, d in torsion)
+    if derived_order > COVER_DERIVED_BOUND:
+        raise ScaleError(
+            f"schur_cover bound is |[G,G]| |H_2(G)| <= 2^16, "
+            f"got 2^{derived_order.bit_length() - 1}"
+        )
     n = group.n
     chain_pos: List[List[int]] = []
     pos = n
@@ -114,7 +129,7 @@ def schur_cover(group: PcGroup) -> CoverData:
     der = derived_subgroup(cover)
     stem_elems = kernel.elements & der.elements
     stem = Subgroup(cover, sorted(stem_elems, key=cover.lexkey), stem_elems)
-    h2 = abelian_invariants_by_order_profile(stem.sorted_elements(), cover.element_order)
+    h2 = subquotient_invariants(cover, stem, trivial_subgroup(cover))
     expected = tuple(sorted(d for _c, d in torsion))
     if h2 != expected:
         raise PcError(
@@ -177,28 +192,6 @@ def commuting_wedges(group: PcGroup, cover: CoverData) -> Subgroup:
     if not sub.elements <= cover.stem_part.elements:
         raise PcError("commuting wedges escaped the stem part")
     return sub
-
-
-def subquotient_invariants(group, top: Subgroup, bottom: Subgroup) -> Tuple[int, ...]:
-    """Invariants of the abelian quotient top/bottom inside a common group."""
-    if not bottom.elements <= top.elements:
-        raise PcError("bottom is not contained in top")
-
-    reps: List[int] = []
-    reached = set()
-    for g in top.sorted_elements():
-        if g not in reached:
-            reps.append(g)
-            reached.update(group.mult(g, b) for b in bottom.elements)
-
-    def order_mod_bottom(g: int) -> int:
-        o = 1
-        while g not in bottom.elements:
-            g = group.square(g)
-            o <<= 1
-        return o
-
-    return abelian_invariants_by_order_profile(reps, order_mod_bottom)
 
 
 @dataclass

@@ -29,13 +29,9 @@ from .pcgroup import (
     derived_subgroup,
     standard_subgroups,
     subgroup,
-)
-from .homology import (
-    CoverData,
-    commuting_wedges,
-    schur_cover,
     subquotient_invariants,
 )
+from .homology import CoverData, commuting_wedges, schur_cover
 
 
 @dataclass

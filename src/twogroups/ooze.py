@@ -27,7 +27,7 @@ from .pcgroup import (
     QuotientGroup,
     abelianization,
     conjugacy_classes,
-    cyclic_coordinates,
+    least_in_coset,
     subgroup,
 )
 from .ktheory import (
@@ -80,7 +80,7 @@ class DeltaMap:
     sc_table: Dict[int, int] = field(default_factory=dict, repr=False)
 
     def coset_key(self, g: int) -> int:
-        return _coset_key(self.group, self.wh.c_subgroup.elements, g)
+        return least_in_coset(self.group, self.wh.c_subgroup.elements, g)
 
     def value(self, g: int) -> int:
         """delta of an order-<=2 class given by a representative in S."""
@@ -113,14 +113,16 @@ def delta_map(group, ab: Optional[Abelianization] = None,
         ab = abelianization(group)
     if wh is None:
         wh = h1_wh_prime(group)
-    q = ab.quotient
     c_elems = wh.c_subgroup.elements
-    # canonical coset representatives, elements of G
-    reps = [q.power(g, m // 2) for m, g in zip(ab.invariants, ab.factor_gens)]
-    keys = [_coset_key(group, c_elems, v) for v in reps]
+    # least elements of the [G,G]-cosets of the order-two elements v_j
+    reps = [
+        least_in_coset(group, ab.derived.elements, group.power(g, m // 2))
+        for m, g in zip(ab.invariants, ab.factor_gens)
+    ]
+    keys = [least_in_coset(group, c_elems, v) for v in reps]
     _basis, coord_table = elementary_coordinates(
-        lambda a, b: _coset_key(group, c_elems, group.mult(a, b)),
-        [_coset_key(group, c_elems, group.identity)],
+        lambda a, b: least_in_coset(group, c_elems, group.mult(a, b)),
+        [least_in_coset(group, c_elems, group.identity)],
         keys,
     )
     matrix = [coord_table[k] for k in keys]
@@ -142,11 +144,6 @@ def delta_map(group, ab: Optional[Abelianization] = None,
     )
 
 
-def _coset_key(group, sub_elems, g: int) -> int:
-    """Lexicographically least element of the coset g * sub."""
-    return min((group.mult(g, c) for c in sub_elems), key=group.lexkey)
-
-
 # -- adapted decompositions ---------------------------------------------------
 
 
@@ -158,13 +155,11 @@ class AdaptedDecomposition:
     group: object
     ab: Abelianization
     orders: List[int]          # descending
-    factor_gens: List[int]     # elements of pi^ab (canonical reps in G)
+    factor_gens: List[int]     # least elements of their [G,G]-cosets
     v_elems: List[int]         # order-two element of each factor
     k: int                     # delta(v_1..v_k) is a basis of H^1(Wh')
     delta: DeltaMap
-
-    def coordinates(self) -> Dict[int, Tuple[int, ...]]:
-        return cyclic_coordinates(self.ab.quotient, self.factor_gens, self.orders)
+    basis: Abelianization      # the same factors, with their coordinates
 
     def as_dict(self) -> Dict:
         g = self.group
@@ -186,14 +181,13 @@ def adapted_decomposition(group, dmap: Optional[DeltaMap] = None) -> AdaptedDeco
     if dmap.rank == 0:
         raise OozeError("adapted decomposition requires H^1(Wh') != 0")
     ab = dmap.ab
-    q = ab.quotient
-    pairs = sorted(
-        zip(ab.invariants, ab.factor_gens), key=lambda t: -t[0]
-    )  # descending orders
-    orders = [p[0] for p in pairs]
-    gens = [p[1] for p in pairs]
+    # descending orders; funcs[j] lists the j-th coordinate of each x_i
+    desc = sorted(range(len(ab.invariants)), key=lambda j: -ab.invariants[j])
+    orders = [ab.invariants[j] for j in desc]
+    gens = [ab.factor_gens[j] for j in desc]
+    funcs = [[row[j] for row in ab.gen_coords] for j in desc]
 
-    cols = [dmap.value(q.power(g, m // 2)) for g, m in zip(gens, orders)]
+    cols = [dmap.value(group.power(g, m // 2)) for g, m in zip(gens, orders)]
     # row reduce the matrix whose (i, j) entry is bit i of cols[j]
     rows = transpose_masks(cols)
     # RREF over GF(2)
@@ -217,42 +211,45 @@ def adapted_decomposition(group, dmap: Optional[DeltaMap] = None) -> AdaptedDeco
         for j in iter_bits(rr):
             if j == pc:
                 continue
-            # g_j := g_j * g_pc^(m_pc / m_j); valid because pc < j in the
-            # descending-order listing (pivot order is at least m_j)
+            # g_j := g_j * g_pc^r with r = m_pc / m_j, valid because pc < j in
+            # the descending-order listing (pivot order is at least m_j); the
+            # dual coordinate changes by the inverse, f_pc -= r * f_j
             if orders[pc] < orders[j]:
                 raise OozeError("column operation violates the order constraint")
-            gens[j] = q.mult(gens[j], q.power(gens[pc], orders[pc] // orders[j]))
+            r = orders[pc] // orders[j]
+            gens[j] = group.mult(gens[j], group.power(gens[pc], r))
+            funcs[pc] = [(a - r * b) % orders[pc] for a, b in zip(funcs[pc], funcs[j])]
     # reorder: pivot columns first, by their pivot row, then the rest
     first = pivots_cols
     rest = [j for j in range(len(gens)) if j not in first]
     perm = first + rest
     orders = [orders[j] for j in perm]
     gens = [gens[j] for j in perm]
-    k = len(first)
+    der = ab.derived.elements
+    factor_gens = [least_in_coset(group, der, g) for g in gens]
     dec = AdaptedDecomposition(
         group=group,
         ab=ab,
         orders=orders,
-        factor_gens=gens,
-        v_elems=[q.power(g, m_ // 2) for g, m_ in zip(gens, orders)],
-        k=k,
+        factor_gens=factor_gens,
+        v_elems=[
+            least_in_coset(group, der, group.power(g, m // 2)) for g, m in zip(gens, orders)
+        ],
+        k=len(first),
         delta=dmap,
+        basis=Abelianization(
+            group, ab.derived, tuple(orders), tuple(factor_gens),
+            tuple(zip(*(funcs[j] for j in perm))),
+        ),
     )
     _verify_adapted(dec)
     return dec
 
 
 def _verify_adapted(dec: AdaptedDecomposition) -> None:
-    q = dec.ab.quotient
-    total = 1
-    for g, m in zip(dec.factor_gens, dec.orders):
-        if q.element_order(g) != m:
-            raise OozeError("adapted factor has wrong order")
-        total *= m
-    if total != q.order:
-        raise OozeError("adapted factors do not multiply to |pi^ab|")
-    if len(dec.coordinates()) != q.order:
-        raise OozeError("adapted decomposition is not a direct sum")
+    failure = dec.basis.certificate_failure()
+    if failure is not None:
+        raise OozeError(f"adapted decomposition: {failure}")
     span = Gf2Span()
     for j in range(dec.k):
         val = dec.delta.value(dec.v_elems[j])
@@ -341,17 +338,17 @@ def lambda4_detect(group: PcGroup) -> Lambda4Report:
     saw_order_ge4 = False
     if lhs is None:
         return Lambda4Report(verdict="undecided", reasons=reasons)
-    coords = dec.coordinates()
-    q = dec.ab.quotient
     for i in range(dec.k):
         if dec.orders[i] != 2:
             saw_order_ge4 = True
             continue
+        # the i-th coordinate mod 2 is the parity of g & mask
+        mask = sum((row[i] & 1) << b for b, row in enumerate(dec.basis.gen_coords))
         # linear form of the i-th factor projection in the W variables
         lform = F2Poly.zero(lhs.variables)
         func_bits = []
         for a, gen in enumerate(lhs.w_gens):
-            c = coords[q.project(gen)][i] & 1
+            c = (gen & mask).bit_count() & 1
             func_bits.append(c)
             if c:
                 lform = lform + F2Poly.var(lhs.variables, lhs.variables[a])
@@ -367,7 +364,7 @@ def lambda4_detect(group: PcGroup) -> Lambda4Report:
         v1 = dec.v_elems[i]
         if v1 in wh.c_subgroup.elements:
             raise OozeError("certificate factor has delta(v_1) = 0")
-        kernel_elems = [g for g in group.elements() if coords[q.project(g)][i] % 2 == 0]
+        kernel_elems = [g for g in group.elements() if not (g & mask).bit_count() & 1]
         n_sub = subgroup(group, sorted(kernel_elems, key=group.lexkey))
         cert = {
             "factor_index": i + 1,
@@ -654,7 +651,7 @@ def conjecture62_scan(group) -> List[ConjectureSequence]:
     |pi^ab| exceeds CONJ62_BOUND.
     """
     ab = abelianization(group)
-    q = ab.quotient
+    ab_order = group.order // ab.derived.order
     scans = []  # (cyclic quotient order >= 4, coefficient choices per factor)
     for k in range(2, max(ab.invariants, default=1).bit_length()):
         target = 1 << k
@@ -666,19 +663,18 @@ def conjecture62_scan(group) -> List[ConjectureSequence]:
         - math.prod(sum(1 for x in c if x % 2 == 0) for c in choices)
         for _target, choices in scans
     )
-    if tuples * q.order > CONJ62_BOUND:
+    if tuples * ab_order > CONJ62_BOUND:
         raise ScaleError(
             f"conj62 bound is (surjective tuples) x |pi^ab| <= 2^24, "
-            f"got {tuples} x {q.order}"
+            f"got {tuples} x {ab_order}"
         )
-    coords = ab.coordinates()
     # pi^ab coordinates -> [classes, inversion-closed classes, elements]
     buckets: Dict[Tuple[int, ...], List[int]] = {}
     for cls in conjugacy_classes(group):
-        image = q.project(cls.rep)
-        if any(q.project(x) != image for x in cls.elements):
+        image = ab.coordinates(cls.rep)
+        if any(ab.coordinates(x) != image for x in cls.elements):
             raise OozeError("a conjugacy class meets two [G,G]-cosets")
-        bucket = buckets.setdefault(coords[image], [0, 0, 0])
+        bucket = buckets.setdefault(image, [0, 0, 0])
         bucket[0] += 1
         bucket[1] += group.inv(cls.rep) in cls.elements
         bucket[2] += len(cls.elements)

@@ -11,9 +11,11 @@ of its inputs (caches are internal memo tables only).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import Gf2Span, gf2_kernel, iter_bits, smith_normal_form, transpose_masks
 
@@ -711,9 +713,6 @@ class QuotientGroup(_Powers):
                 seen.append(img)
         return seen
 
-    def project(self, g: int) -> int:
-        return self._canon[g]
-
     def mult(self, a: int, b: int) -> int:
         return self._canon[self.base.mult(a, b)]
 
@@ -749,36 +748,63 @@ def quotient(group, normal: Subgroup) -> QuotientGroup:
 # -- abelianization ----------------------------------------------------------
 
 
+def least_in_coset(group, sub_elems, g: int) -> int:
+    """Lexicographically least element of the coset g * H, H given by its
+    elements."""
+    return min((group.mult(g, c) for c in sub_elems), key=group.lexkey)
+
+
 @dataclass
 class Abelianization:
-    """pi^ab with an explicit internal direct-sum decomposition."""
+    """pi^ab = G/[G,G] as the direct sum of the Z/d_j with coordinates that
+    are linear in the exponent bits: x_1^e_1 ... x_n^e_n maps to
+    sum e_i gen_coords[i].  `abelianization` reads gen_coords off the Smith
+    transform V (row i of V); the adapted decompositions of `ooze` are
+    other bases of the same kind.
 
-    group: object
-    quotient: QuotientGroup
-    projection: GroupHom
-    invariants: Tuple[int, ...]       # cyclic orders, ascending
-    factor_gens: Tuple[int, ...]      # elements of the quotient generating each factor
+    Certificate (`certificate_failure`): the map kills every relation of
+    the presentation, so it is a homomorphism on G; factor generator j maps
+    to the j-th unit vector, so it is onto; and prod d_j * |[G,G]| = |G|
+    with [G,G] closed independently, so it induces G/[G,G] = sum Z/d_j.
+    """
 
-    def coordinates(self) -> Dict[int, Tuple[int, ...]]:
-        return cyclic_coordinates(self.quotient, self.factor_gens, self.invariants)
+    group: PcGroup
+    derived: Subgroup
+    invariants: Tuple[int, ...]              # the d_j, ascending in abelianization()
+    factor_gens: Tuple[int, ...]             # least element of a coset mapping to e_j
+    gen_coords: Tuple[Tuple[int, ...], ...]  # coordinates of x_1, ..., x_n
 
+    def __post_init__(self) -> None:
+        # row i packed into one int, coordinate j from bit _shifts[j] on, each
+        # field wide enough that a sum of n rows never carries into the next
+        widths = [(d * len(self.gen_coords)).bit_length() for d in self.invariants]
+        self._shifts = [sum(widths[:j]) for j in range(len(widths))]
+        self._packed = [
+            sum(c % d << s for c, d, s in zip(row, self.invariants, self._shifts))
+            for row in self.gen_coords
+        ]
 
-def cyclic_coordinates(
-    q, factor_gens: Sequence[int], orders: Sequence[int]
-) -> Dict[int, Tuple[int, ...]]:
-    """Discrete-log table of an abelian group q along cyclic factors:
-    element -> exponents; fewer than |q| keys means the sum is not direct."""
-    table = {q.identity: tuple(0 for _ in orders)}
-    for j, (g, m) in enumerate(zip(factor_gens, orders)):
-        current = dict(table)
-        p = q.identity
-        for e in range(1, m):
-            p = q.mult(p, g)
-            for elem, coords in current.items():
-                c = list(coords)
-                c[j] = e
-                table[q.mult(elem, p)] = tuple(c)
-    return table
+    def coordinates(self, g: int) -> Tuple[int, ...]:
+        acc = 0
+        for i in iter_bits(g):
+            acc += self._packed[i]
+        # every d_j is a power of two
+        return tuple(acc >> s & (d - 1) for s, d in zip(self._shifts, self.invariants))
+
+    def certificate_failure(self) -> Optional[str]:
+        group, d = self.group, self.invariants
+        for i in range(group.n):
+            double = tuple(2 * c % m for c, m in zip(self.gen_coords[i], d))
+            if double != self.coordinates(group.powers[i]):
+                return f"relation x{i + 1}^2 is not respected"
+            if any(any(self.coordinates(w)) for w in group.comms[i]):
+                return f"a commutator [x{i + 1}, x_j] does not map to 0"
+        for j, g in enumerate(self.factor_gens):
+            if self.coordinates(g) != tuple(int(i == j) for i in range(len(d))):
+                return f"factor {j + 1} does not map to its unit vector"
+        if math.prod(d) * self.derived.order != group.order:
+            return "factor orders do not multiply to |G/[G,G]|"
+        return None
 
 
 def derived_subgroup(group) -> Subgroup:
@@ -788,15 +814,9 @@ def derived_subgroup(group) -> Subgroup:
 
 
 def abelianization(group: PcGroup) -> Abelianization:
-    """Cyclic invariants and verified projection onto G/[G,G].
-
-    The invariants come from the Smith normal form of the abelianized
-    relation matrix of the pc presentation; the SNF transform also yields
-    generators of an internal direct-sum decomposition, which is
-    re-verified on the materialized quotient.
-    """
-    der = derived_subgroup(group)
-    q = QuotientGroup(group, der)
+    """Cyclic invariants of G/[G,G] and coordinates on it, from the Smith
+    normal form U A V = D of the abelianized relation matrix A: [x_i] has
+    the coordinates V[i] and the factor generator j is x^(V^-1[j])."""
     n = group.n
     rows = []
     for i in range(n):
@@ -813,63 +833,53 @@ def abelianization(group: PcGroup) -> Abelianization:
                 for t in iter_bits(w):
                     row[t] -= 1
                 rows.append(row)
-    # G^ab is a 2-group of exponent dividing |G|: no entry of diag is 0
-    diag, _v, vinv = smith_normal_form(rows, 2 * group.order)
-    orders = []
+    # G^ab is a 2-group of exponent dividing |G|: no entry of diag is 0, and
+    # the diagonal is a divisibility chain, so the factors come ascending
+    diag, v, vinv = smith_normal_form(rows, 2 * group.order)
+    keep = [j for j, d in enumerate(diag) if d > 1]
+    invariants = tuple(diag[j] for j in keep)
+    derived = derived_subgroup(group)
     factor_gens = []
-    for d, vec in zip(diag, vinv):
-        if d == 1:
-            continue
-        g = q.identity
-        for i, e in enumerate(vec):
-            g = q.mult(g, q.power(q.project(1 << i), e))
-        orders.append(d)
-        factor_gens.append(g)
-    pairs = sorted(zip(orders, factor_gens), key=lambda t: t[0])
-    orders = [p[0] for p in pairs]
-    factor_gens = [p[1] for p in pairs]
-    # re-verify the decomposition: factor orders and direct spanning
-    total = 1
-    for m, g in zip(orders, factor_gens):
-        if q.element_order(g) != m:
-            raise PcError("abelianization factor has wrong order")
-        total *= m
-    if total != q.order:
-        raise PcError("abelianization factors do not span")
+    for j in keep:
+        g = group.identity
+        for i, e in enumerate(vinv[j]):
+            g = group.mult(g, group.power(1 << i, e))
+        factor_gens.append(least_in_coset(group, derived.elements, g))
     ab = Abelianization(
         group=group,
-        quotient=q,
-        projection=q.projection,
-        invariants=tuple(orders),
+        derived=derived,
+        invariants=invariants,
         factor_gens=tuple(factor_gens),
+        gen_coords=tuple(tuple(v[i][j] % diag[j] for j in keep) for i in range(n)),
     )
-    if len(ab.coordinates()) != q.order:
-        raise PcError("abelianization decomposition is not direct")
+    failure = ab.certificate_failure()
+    if failure is not None:
+        raise PcError(f"abelianization: {failure}")
     return ab
 
 
-def abelian_invariants_by_order_profile(
-    elements: Iterable[int], element_order: Callable[[int], int]
-) -> Tuple[int, ...]:
-    """Invariants of a finite abelian 2-group from its element-order counts.
+def subquotient_invariants(group, top: Subgroup, bottom: Subgroup) -> Tuple[int, ...]:
+    """Invariants of the abelian 2-group top/bottom inside a common group.
 
-    If n_k = #{g : g^(2^k) = 1} then the number of cyclic factors of order
-    >= 2^k equals log2(n_k) - log2(n_{k-1}); the multiset of invariants
-    follows.  Exact for abelian groups only.
+    If n_k = #{g in top : g^(2^k) in bottom} then the number of cyclic
+    factors of order >= 2^k is log2(n_k) - log2(n_{k-1}) (every coset of
+    bottom adds |bottom| to each n_k); the multiset of invariants follows.
+    Exact when top/bottom is abelian.
     """
-    orders = [element_order(g) for g in elements]
-    nbits = max(len(orders).bit_length(), 2)
-    counts = [sum(1 for o in orders if o <= (1 << k)) for k in range(nbits)]
-    # dims[k-1] = number of cyclic factors of order >= 2^k
-    dims = [
-        (counts[k].bit_length() - 1) - (counts[k - 1].bit_length() - 1)
-        for k in range(1, nbits)
-    ]
+    if not bottom.elements <= top.elements:
+        raise PcError("bottom is not contained in top")
+    levels = [0] * (top.order.bit_length() + 1)  # least k with g^(2^k) in bottom
+    for g in top.elements:
+        k = 0
+        while g not in bottom.elements:
+            g, k = group.square(g), k + 1
+        levels[k] += 1
+    logs = [n_k.bit_length() - 1 for n_k in accumulate(levels)]
+    at_least = [b - a for a, b in zip(logs, logs[1:])] + [0]  # of order >= 2^(k+1)
     invariants: List[int] = []
-    for k, d_k in enumerate(dims, start=1):
-        next_d = dims[k] if k < len(dims) else 0
-        invariants.extend([1 << k] * (d_k - next_d))
-    return tuple(sorted(invariants))
+    for k in range(len(at_least) - 1):
+        invariants += [2 << k] * (at_least[k] - at_least[k + 1])
+    return tuple(invariants)
 
 
 # -- tails collector ---------------------------------------------------------

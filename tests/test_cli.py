@@ -189,6 +189,22 @@ def test_cover_finishes_on_growth_seeds(tmp_path):
         assert value["cover_order"] == g.order * value["kernel_order"]
 
 
+def test_cover_refuses_large_multiplier_at_once(tmp_path):
+    # C2^7 has |H_2| = 2^21 (its cover took minutes in-process): refused on
+    # the Smith form, before the cover is built; a child process, so that a
+    # build that does start fails here by the timeout instead of stalling
+    path = tmp_path / "c2x7.cat"
+    path.write_text("group C2x7\nngens 7\nend\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twogroups.cli", "cover", "C2x7", "--catalog", str(path)],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 1
+    assert "bound is |[G,G]| |H_2(G)| <= 2^16, got 2^21" in proc.stderr
+
+
 def test_custom_catalog(tmp_path, capsys):
     path = tmp_path / "extra.cat"
     path.write_text(

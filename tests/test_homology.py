@@ -2,17 +2,17 @@ import random
 
 import pytest
 
+from conftest import rkm
 from twogroups.homology import (
     ScaleError,
     commuting_wedges,
     h2_integral,
     schur_cover,
-    subquotient_invariants,
     wedge_space,
 )
 from twogroups.linalg import smith_normal_form
 from twogroups.oracles import bar_h2, kunneth_h2_of_cyclic_product, pc_to_table
-from twogroups.pcgroup import PcError, PcGroup, TailCollector
+from twogroups.pcgroup import PcError, PcGroup, TailCollector, subquotient_invariants
 
 
 def c4c4():
@@ -93,6 +93,13 @@ def test_h2_examples(cat):
 def test_scale_bound(cat):
     with pytest.raises(ScaleError):
         schur_cover(cat["G16384"])
+
+
+def test_cover_derived_bound():
+    # |H_2| = 2^12 as for R(6,3) seed 603 (3.3 s), but |[G,G]| = 2^5, so the
+    # cover's derived subgroup has 2^17 elements (16.8 s, 535 MB): refused
+    with pytest.raises(ScaleError, match=r"\|\[G,G\]\| \|H_2\(G\)\| <= 2\^16, got 2\^17"):
+        schur_cover(rkm(4, 6, 2))
 
 
 def test_commuting_wedges_abelian_exhaust(cat):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import rkm
 from twogroups.homology import commuting_wedge_span, schur_cover, commuting_wedges, wedge_space
 from twogroups.ktheory import central_extension_from_hom, sk1
 from twogroups.lhs import lhs_data_for
@@ -13,7 +14,14 @@ from twogroups.ooze import (
     delta_map,
     lambda4_detect,
 )
-from twogroups.pcgroup import PcGroup, abelianization, conjugacy_classes, homomorphism
+from twogroups.pcgroup import (
+    PcGroup,
+    QuotientGroup,
+    abelianization,
+    conjugacy_classes,
+    derived_subgroup,
+    homomorphism,
+)
 
 
 def m16():
@@ -105,10 +113,9 @@ def test_adapted_decomposition_diagonal_unchanged(cat):
     g = cat["SG256_9039"]
     dm = delta_map(g)
     dec = adapted_decomposition(g, dm)
-    q = dec.ab.quotient
     dec2 = adapted_decomposition(g, dm)
-    assert [q.element_str(x) for x in dec.factor_gens] == [
-        q.element_str(x) for x in dec2.factor_gens
+    assert [g.element_str(x) for x in dec.factor_gens] == [
+        g.element_str(x) for x in dec2.factor_gens
     ]
 
 
@@ -245,12 +252,33 @@ def test_conj62_abelian(cat):
     assert seqs, "C2xC4 has a C4 quotient"
 
 
+def discrete_logs(group, factor_gens, orders):
+    """g -> exponents of its [G,G]-coset along the factor generators, by
+    discrete logs in the materialized quotient G/[G,G]."""
+    q = QuotientGroup(group, derived_subgroup(group))
+    logs = {q.identity: ()}
+    for f, m in zip(factor_gens, orders):
+        logs = {q.mult(x, q.power(f, e)): c + (e,) for x, c in logs.items() for e in range(m)}
+    assert len(logs) == q.order
+    return {g: logs[q.projection(g)] for g in group.elements()}
+
+
+def test_adapted_coordinates_match_discrete_logs(cat):
+    # the coordinate functionals follow each column operation of the
+    # construction: SG256_9039 and R(4,4) seed 26 take two each, G16384 none
+    for g in [cat["G16384"], cat["SG256_9039"], rkm(4, 4, 26)]:
+        dec = adapted_decomposition(g)
+        logs = discrete_logs(g, dec.factor_gens, dec.orders)
+        assert all(dec.basis.coordinates(x) == c for x, c in logs.items()), g.name
+
+
 def conj62_oracle(group):
     """conjecture62_scan by brute force: N, T and W as element sets, every
-    homomorphism onto Z/2^k tried, and kernels deduplicated by set."""
+    homomorphism onto Z/2^k tried, and kernels deduplicated by set; the
+    pi^ab coordinates are discrete logs in the quotient group, not the
+    linear map of `Abelianization.coordinates`."""
     ab = abelianization(group)
-    coords = ab.coordinates()
-    images = {g: coords[ab.quotient.project(g)] for g in group.elements()}
+    images = discrete_logs(group, ab.factor_gens, ab.invariants)
     classes = conjugacy_classes(group)
     out = []
     for k in range(2, max(ab.invariants, default=1).bit_length()):

@@ -1,13 +1,18 @@
+import math
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import RKM_LARGER, rkm
+from twogroups.catalog import parse_catalog
 from twogroups.linalg import smith_normal_form
 from twogroups.oracles import pc_to_table, quaternion_table_group
 from twogroups.pcgroup import (
     PcError,
     QuotientGroup,
+    Subgroup,
     _lexkey,
     abelianization,
     center_span,
@@ -17,6 +22,7 @@ from twogroups.pcgroup import (
     quotient,
     standard_subgroups,
     subgroup,
+    subquotient_invariants,
     trivial_subgroup,
 )
 
@@ -240,6 +246,40 @@ def test_abelianization_values(cat):
     assert ab.invariants == (2, 2, 2)
     big = abelianization(cat["G16384"])
     assert big.invariants == (2, 2, 2, 4, 4, 4, 4)
+
+
+def test_abelianization_coordinates_certificate(small_family):
+    # seeded random pairs over small groups, the 2^10 R(k,m) and the frozen
+    # class-3 covers of the benchmark (2^9..2^12, generic collector)
+    covers = parse_catalog((Path(__file__).parents[1] / "perfbench" / "covers.cat").read_text())
+    rng = random.Random(RNG_SEED)
+    for g in small_family + [rkm(*a) for a in RKM_LARGER] + covers:
+        ab = abelianization(g)
+        d = ab.invariants
+        for _ in range(200):
+            a, b = rng.randrange(g.order), rng.randrange(g.order)
+            ca, cb = ab.coordinates(a), ab.coordinates(b)
+            want = tuple((x + y) % m for x, y, m in zip(ca, cb, d))
+            assert ab.coordinates(g.mult(a, b)) == want, g.name
+        for j, f in enumerate(ab.factor_gens):
+            assert ab.coordinates(f) == tuple(int(i == j) for i in range(len(d))), g.name
+        assert math.prod(d) * ab.derived.order == g.order, g.name
+        whole = Subgroup(g, g.generators, frozenset(g.elements()))
+        assert subquotient_invariants(g, whole, ab.derived) == d, g.name
+
+
+def test_abelianization_certificate_rejects_wrong_data(cat):
+    g = cat["G16384"]
+    ab = abelianization(g)
+    assert ab.certificate_failure() is None
+    rows = [list(r) for r in ab.gen_coords]
+    rows[0][-1] += 1  # [x1] one step off in a Z/4 factor: 2[x1] != [x1^2]
+    bad = replace(ab, gen_coords=tuple(map(tuple, rows)))
+    assert "relation x1^2" in bad.certificate_failure()
+    swapped = replace(ab, factor_gens=ab.factor_gens[::-1])
+    assert "unit vector" in swapped.certificate_failure()
+    too_small = replace(ab, derived=trivial_subgroup(g))
+    assert "multiply" in too_small.certificate_failure()
 
 
 def test_abelianization_snf_oracle_g16384(cat):

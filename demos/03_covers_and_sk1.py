@@ -28,7 +28,7 @@ print("=== SK1 values ===")
 for name in ["C2xC4", "C2xC2xC2", "SG128_1376", "SG128_1377"]:
     data = sk1(cat[name])
     print(f"  {name:12s} SK1 invariants {data.invariants}  "
-          f"(|stem| = {data.cover.stem_part.order}, |wedges| = {data.wedges.order})")
+          f"(|stem| = {data.stem_order}, |wedges| = {data.wedge_order})")
 
 print()
 print("=== extension criteria for the two catalog towers ===")

@@ -11,7 +11,15 @@ __version__ = "0.1.0"
 
 from .catalog import Fingerprint, fingerprint, parse_catalog, serialize, shipped_catalog, shipped_group
 from .f2poly import F2Poly, degree_membership, parse_poly, sq1
-from .homology import CoverData, commuting_wedges, h2_integral, schur_cover, wedge_space
+from .homology import (
+    CoverData,
+    CoverPresentation,
+    commuting_wedges,
+    cover_presentation,
+    h2_integral,
+    schur_cover,
+    wedge_space,
+)
 from .ktheory import (
     CentralExtensionData,
     central_extension,
@@ -58,6 +66,7 @@ __all__ = [
     "QuotientGroup",
     "Subgroup",
     "CoverData",
+    "CoverPresentation",
     "CentralExtensionData",
     "LhsData",
     "DeltaMap",
@@ -70,6 +79,7 @@ __all__ = [
     "commuting_wedges",
     "conjecture62_scan",
     "conjugacy_classes",
+    "cover_presentation",
     "d2_table",
     "degree_membership",
     "delta_map",

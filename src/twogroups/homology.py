@@ -5,15 +5,15 @@ tail per defining relation, collecting the standard overlap checks in the
 extended presentation to get integral relations among the tails, and
 reading the structure of the tail group off the Smith normal form.  The
 torsion part is the Schur multiplier H_2(G; Z); killing the free part
-yields a finite central extension whose kernel meets the derived subgroup
-in a copy of H_2.
+yields a finite central extension whose kernel is a copy of H_2 inside the
+derived subgroup (a stem cover), certified by comparing abelianizations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import (
     Gf2Span,
@@ -30,6 +30,7 @@ from .pcgroup import (
     ScaleError,
     Subgroup,
     TailCollector,
+    abelian_invariants,
     class_centralizers,
     derived_subgroup,
     subgroup,
@@ -37,37 +38,91 @@ from .pcgroup import (
     trivial_subgroup,
 )
 
+# cover_presentation: the tails matrix has about n^3/6 rows and n(n+1)/2
+# columns, and the cover's consistency check and its abelianized Smith form
+# grow with its generator count n + log2 |H_2(G)|; each is checked before
+# the work it sizes.  In-process on one 2-vCPU core: tails and Smith form
+# of R(14,6) seed 1 (n = 20, 1,284 x 210) 3.1 s, of R(16,8) seed 1 (n = 24)
+# 11 s; the 42-generator cover of G16384 0.3 s in all.
+TAILS_GENS_BOUND = 20
+COVER_GENS_BOUND = 48
+# schur_cover lists the cover and closes its kernel element by element: at
+# |H_2| = 2^15, C2^6 took 1.2 s and R(3,7) seed 3 3.4 s at 100 MB; at 2^16,
+# C2^4 x C4^2 took 9.6 s at 168 MB.
 COVER_ORDER_BOUND = 1 << 10
-# The cover's derived subgroup, closed element by element, has |[G,G]| |H_2|
-# elements, and its cost follows that count.  In-process on a 2-core machine:
-# 2^15 (R(6,4) seed 604) 3.4 s; 2^16 (R(4,6) seed 1) 5.2 s at 177 MB; 2^17
-# (R(4,6) seed 2, |H_2| = 2^12) 16.8 s at 535 MB; 2^18 (R(3,7) seed 3) 41 s at
-# 1 GB; C2^7 (|H_2| = 2^21) 292 s at 642 MB.
-COVER_DERIVED_BOUND = 1 << 16
+COVER_KERNEL_BOUND = 1 << 15
 
 
 @dataclass
-class CoverData:
-    """A central extension SC -> G whose kernel carries H_2(G; Z)."""
+class CoverPresentation:
+    """A stem central extension K >-> SC ->> G with K = H_2(G; Z), as a pc
+    presentation: the generators x_1..x_n of G, then one chain per cyclic
+    factor Z/d of H_2, c_0, ..., c_{k-1} with c_l^2 = c_{l+1} and d = 2^k.
+    Every relation of G gains the chain bits of its tail's image, so the
+    chains are central, K is the subgroup of elements whose bits below n
+    are zero, and the bits of chain j, read as a binary number, are the
+    coordinate of a kernel element in Z/d_j.
+
+    Certificate (`certificate_failure`): |SC^ab| = |G^ab|.  K is central
+    with SC/K = G, so |SC^ab| = |G^ab| |K| / |K & [SC,SC]|, and the
+    equality holds exactly when K lies in [SC,SC]: the cover is stem.
+    """
 
     group: PcGroup
     cover: PcGroup
+    h2_invariants: Tuple[int, ...]           # ascending, one per chain
+    chains: Tuple[Tuple[int, ...], ...]      # 0-based generator positions
+
+    def kernel_coordinates(self, g: int) -> Tuple[int, ...]:
+        """Coordinates in the sum of the Z/d_j of an element of K."""
+        if g & (self.group.order - 1):
+            raise PcError(f"{self.cover.element_str(g)} is not in the cover's kernel")
+        return tuple(g >> c[0] & (d - 1) for c, d in zip(self.chains, self.h2_invariants))
+
+    def wedge(self, g: int, h: int) -> Tuple[int, ...]:
+        """Kernel coordinates of [g~, h~] for commuting g, h in G, with g~, h~
+        the cover elements of the same bits: g~h~ = s k and h~g~ = s k' share
+        the G-part s, and [g~, h~] = (h~g~)^-1 g~h~ = k - k'."""
+        sc, g_part = self.cover, self.group.order - 1
+        gh, hg = sc.mult(g, h), sc.mult(h, g)
+        if (gh ^ hg) & g_part:
+            raise PcError(
+                f"{self.group.element_str(g)} and {self.group.element_str(h)} "
+                "do not commute modulo the cover's kernel"
+            )
+        k = self.kernel_coordinates(gh & ~g_part)
+        k_prime = self.kernel_coordinates(hg & ~g_part)
+        return tuple((a - b) % d for a, b, d in zip(k, k_prime, self.h2_invariants))
+
+    def certificate_failure(self) -> Optional[str]:
+        ab_cover = math.prod(abelian_invariants(self.cover))
+        ab_group = math.prod(abelian_invariants(self.group))
+        if ab_cover != ab_group:
+            return f"|SC^ab| = {ab_cover} differs from |G^ab| = {ab_group}: not stem"
+        return None
+
+
+@dataclass
+class CoverData(CoverPresentation):
+    """The cover presentation with its projection, kernel and stem part
+    materialized as element sets."""
+
     epi: GroupHom
     kernel: Subgroup
     stem_part: Subgroup
-    h2_invariants: Tuple[int, ...]
-    tail_images: Tuple[int, ...]  # relation tail index -> element of the cover
 
 
-def schur_cover(group: PcGroup) -> CoverData:
-    """Cover with central kernel meeting [SC,SC] in H_2(G; Z).
+def cover_presentation(group: PcGroup) -> CoverPresentation:
+    """The stem cover's pc presentation from the tails Smith form, checked
+    for consistency and certified stem; no element of it is listed.
 
-    Tails scale bounds: |G| <= 2^10, and |[G,G]| |H_2(G)| <= 2^16 with
-    |H_2(G)| read off the Smith form, checked before the cover is built.
+    Scale bounds: n <= TAILS_GENS_BOUND before the tails collection, and
+    n + log2 |H_2(G)| <= COVER_GENS_BOUND before the cover is built.
     """
-    if group.order > COVER_ORDER_BOUND:
+    n = group.n
+    if n > TAILS_GENS_BOUND:
         raise ScaleError(
-            f"schur_cover bound is |G| <= 2^10, got |G| = {group.order}"
+            f"cover_presentation bound is n <= {TAILS_GENS_BOUND} pc generators, got {n}"
         )
     tc = TailCollector(group)
     rows = tc.consistency_rows()
@@ -77,79 +132,89 @@ def schur_cover(group: PcGroup) -> CoverData:
     # the exponent of H_2 divides |G| (Schur), so mod 2|G| a zero is free
     diag, v, _vinv = smith_normal_form(rows, 2 * group.order)
     free = [j for j in range(m) if diag[j] == 0]
-    if len(free) != group.n:
+    if len(free) != n:
         raise PcError(
             "tails relation matrix has wrong free rank "
-            f"({len(free)} != {group.n}); inconsistent input?"
+            f"({len(free)} != {n}); inconsistent input?"
         )
-    torsion = [(j, d) for j, d in enumerate(diag) if d > 1]  # (column, order)
-    derived_order = derived_subgroup(group).order * math.prod(d for _j, d in torsion)
-    if derived_order > COVER_DERIVED_BOUND:
+    # (column, order); the diagonal is a divisibility chain, so ascending
+    torsion = [(j, d) for j, d in enumerate(diag) if d > 1]
+    n_sc = n + sum(d.bit_length() - 1 for _j, d in torsion)
+    if n_sc > COVER_GENS_BOUND:
         raise ScaleError(
-            f"schur_cover bound is |[G,G]| |H_2(G)| <= 2^16, "
-            f"got 2^{derived_order.bit_length() - 1}"
+            f"cover_presentation bound is n + log2 |H_2(G)| <= {COVER_GENS_BOUND} "
+            f"cover generators, got {n_sc}"
         )
-    n = group.n
-    chain_pos: List[List[int]] = []
+    chains: List[Tuple[int, ...]] = []
     pos = n
     for _col, d in torsion:
         k = d.bit_length() - 1
-        chain_pos.append(list(range(pos, pos + k)))
+        chains.append(tuple(range(pos, pos + k)))
         pos += k
-    n_sc = pos
-
-    def tail_elem(coords: Sequence[int]) -> int:
-        bits = 0
-        for (col, d), chain in zip(torsion, chain_pos):
-            c = coords[col] % d
-            for l in range(len(chain)):
-                if c >> l & 1:
-                    bits |= 1 << chain[l]
-        return bits
-
-    tail_images = tuple(tail_elem(v[r]) for r in range(m))
-
+    # a tail's coordinate in Z/d is written in binary along its chain
+    tail_images = tuple(
+        sum(v[r][col] % d << chain[0] for (col, d), chain in zip(torsion, chains))
+        for r in range(m)
+    )
     powers = [0] * n_sc
     comms = [[0] * n_sc for _ in range(n_sc)]
     for i in range(n):
         powers[i] = group.powers[i] | tail_images[i]
         for j in range(i + 1, n):
             comms[i][j] = group.comms[i][j] | tail_images[tc.pair_index[(i, j)]]
-    for chain in chain_pos:
-        for l, p in enumerate(chain[:-1]):
-            powers[p] = 1 << chain[l + 1]
+    for chain in chains:
+        for p, q in zip(chain, chain[1:]):
+            powers[p] = 1 << q
     cover = PcGroup(f"Cover({group.name})", n_sc, powers, comms, validate=True)
-    epi = GroupHom(cover, group, [1 << i for i in range(n)] + [0] * (n_sc - n))
-    if not epi.is_surjective():
-        raise PcError("cover projection is not surjective")
-    kernel_gens = [1 << chain[0] for chain in chain_pos]
-    kernel = subgroup(cover, kernel_gens)
-    if kernel.order << n != cover.order or not kernel.is_central:
-        raise PcError("cover kernel is not the expected central subgroup")
-    der = derived_subgroup(cover)
-    stem_elems = kernel.elements & der.elements
-    stem = Subgroup(cover, sorted(stem_elems, key=cover.lexkey), stem_elems)
-    h2 = subquotient_invariants(cover, stem, trivial_subgroup(cover))
-    expected = tuple(sorted(d for _c, d in torsion))
-    if h2 != expected:
-        raise PcError(
-            f"stem part invariants {h2} disagree with tail invariants {expected}"
-        )
-    return CoverData(
+    pres = CoverPresentation(
         group=group,
         cover=cover,
-        epi=epi,
-        kernel=kernel,
-        stem_part=stem,
-        h2_invariants=h2,
-        tail_images=tail_images,
+        h2_invariants=tuple(d for _col, d in torsion),
+        chains=tuple(chains),
     )
+    failure = pres.certificate_failure()
+    if failure is not None:
+        raise PcError(f"cover presentation: {failure}")
+    return pres
 
 
-def h2_integral(group: PcGroup, cover: Optional[CoverData] = None) -> Tuple[int, ...]:
-    """Abelian invariants of H_2(G; Z) = invariants of the cover's stem part."""
+def schur_cover(group: PcGroup) -> CoverData:
+    """The stem cover of `cover_presentation` with its projection, kernel
+    and stem part (the kernel) closed element by element.
+
+    Scale bounds: |G| <= COVER_ORDER_BOUND, and |H_2(G)| <=
+    COVER_KERNEL_BOUND checked before the kernel is closed.
+    """
+    if group.order > COVER_ORDER_BOUND:
+        raise ScaleError(
+            f"schur_cover bound is |G| <= 2^10, got |G| = {group.order}"
+        )
+    pres = cover_presentation(group)
+    h2_order = math.prod(pres.h2_invariants)
+    if h2_order > COVER_KERNEL_BOUND:
+        raise ScaleError(
+            f"schur_cover bound is |H_2(G)| <= 2^{COVER_KERNEL_BOUND.bit_length() - 1}, "
+            f"got 2^{h2_order.bit_length() - 1}"
+        )
+    cover, n = pres.cover, group.n
+    epi = GroupHom(cover, group, [1 << i for i in range(n)] + [0] * (cover.n - n))
+    if not epi.is_surjective():
+        raise PcError("cover projection is not surjective")
+    kernel = subgroup(cover, [1 << chain[0] for chain in pres.chains])
+    if kernel.order << n != cover.order or not kernel.is_central:
+        raise PcError("cover kernel is not the expected central subgroup")
+    h2 = subquotient_invariants(cover, kernel, trivial_subgroup(cover))
+    if h2 != pres.h2_invariants:
+        raise PcError(
+            f"kernel invariants {h2} disagree with tail invariants {pres.h2_invariants}"
+        )
+    return CoverData(**vars(pres), epi=epi, kernel=kernel, stem_part=kernel)
+
+
+def h2_integral(group: PcGroup, cover: Optional[CoverPresentation] = None) -> Tuple[int, ...]:
+    """Abelian invariants of H_2(G; Z), read off the tails Smith form."""
     if cover is None:
-        cover = schur_cover(group)
+        cover = cover_presentation(group)
     return cover.h2_invariants
 
 

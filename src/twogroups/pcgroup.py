@@ -516,22 +516,38 @@ def class_centralizers(group) -> Iterator[Tuple[int, List[int]]]:
     """One (g, gens) per conjugacy class, in element order of the first
     member g: gens are the distinct non-identity Schreier generators
     t_y x t_{y^x}^-1 (y in the orbit, x a pc generator) of the orbit walk,
-    so subgroup(group, gens) is the centralizer C_G(g)."""
+    so subgroup(group, gens) is the centralizer C_G(g).  The walk visits
+    every element, so the element-walk bound is checked at the call."""
+    check_element_walk(group, "class_centralizers")
+    return _class_centralizers(group)
+
+
+def _class_centralizers(group) -> Iterator[Tuple[int, List[int]]]:
     identity = group.identity
     pc_gens = group.generators
     seen = set()
     for g in group.elements():
         if g in seen:
             continue
-        orbit = conjugacy_orbit(group, g)
+        # the breadth-first walk of `conjugacy_orbit`, keeping every edge
+        # y -> y^x so that each conjugate is computed once
+        orbit = {g: identity}
+        queue = [g]
+        edges = []
+        for y in queue:
+            for x in pc_gens:
+                z = group.conj(y, x)
+                edges.append((y, x, z))
+                if z not in orbit:
+                    orbit[z] = group.mult(orbit[y], x)
+                    queue.append(z)
         seen.update(orbit)
         t_inv = {y: group.inv(t) for y, t in orbit.items()}
         gens: Dict[int, None] = {}
-        for y, t in orbit.items():
-            for x in pc_gens:
-                s = group.mult(group.mult(t, x), t_inv[group.conj(y, x)])
-                if s != identity:
-                    gens[s] = None
+        for y, x, z in edges:
+            s = group.mult(group.mult(orbit[y], x), t_inv[z])
+            if s != identity:
+                gens[s] = None
         yield g, list(gens)
 
 
@@ -813,10 +829,12 @@ def derived_subgroup(group) -> Subgroup:
     return subgroup(group, comm_gens, normal_closure=True)
 
 
-def abelianization(group: PcGroup) -> Abelianization:
-    """Cyclic invariants of G/[G,G] and coordinates on it, from the Smith
-    normal form U A V = D of the abelianized relation matrix A: [x_i] has
-    the coordinates V[i] and the factor generator j is x^(V^-1[j])."""
+def _abelianized_smith(group: PcGroup):
+    """Smith normal form U A V = D of the abelianized relation matrix A:
+    one row 2 e_i - w_i per power relation and one row -w_ij per nonzero
+    commutator relation, over Z/2|G|.  G^ab is a 2-group of exponent
+    dividing |G|, so no entry of D is 0 and the d > 1 on the diagonal,
+    ascending, are the invariants of G^ab."""
     n = group.n
     rows = []
     for i in range(n):
@@ -833,9 +851,21 @@ def abelianization(group: PcGroup) -> Abelianization:
                 for t in iter_bits(w):
                     row[t] -= 1
                 rows.append(row)
-    # G^ab is a 2-group of exponent dividing |G|: no entry of diag is 0, and
-    # the diagonal is a divisibility chain, so the factors come ascending
-    diag, v, vinv = smith_normal_form(rows, 2 * group.order)
+    return smith_normal_form(rows, 2 * group.order)
+
+
+def abelian_invariants(group: PcGroup) -> Tuple[int, ...]:
+    """Invariants of G/[G,G], ascending, from the presentation alone."""
+    diag, _v, _vinv = _abelianized_smith(group)
+    return tuple(d for d in diag if d > 1)
+
+
+def abelianization(group: PcGroup) -> Abelianization:
+    """Cyclic invariants of G/[G,G] and coordinates on it, from the Smith
+    normal form U A V = D of the abelianized relation matrix A: [x_i] has
+    the coordinates V[i] and the factor generator j is x^(V^-1[j])."""
+    n = group.n
+    diag, v, vinv = _abelianized_smith(group)
     keep = [j for j, d in enumerate(diag) if d > 1]
     invariants = tuple(diag[j] for j in keep)
     derived = derived_subgroup(group)

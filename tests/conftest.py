@@ -4,6 +4,7 @@ import pytest
 
 from twogroups.catalog import shipped_catalog
 from twogroups.homology import schur_cover
+from twogroups.linalg import gf2_rank
 from twogroups.pcgroup import PcGroup
 
 SHIPPED_SMALL = ["C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8",
@@ -33,6 +34,47 @@ def rkm(k, m, seed):
         for j in range(i + 1, k):
             comms[i][j] = rng.getrandbits(m) << k
     return PcGroup(f"R{k}_{m}_s{seed}", n, powers, comms, validate=True)
+
+
+def cyclic_product(exponents):
+    """C_{2^e1} x C_{2^e2} x ...: one chain of squaring generators per factor."""
+    n = sum(exponents)
+    powers = [0] * n
+    pos = 0
+    for e in exponents:
+        for i in range(pos, pos + e - 1):
+            powers[i] = 1 << (i + 1)
+        pos += e
+    name = "x".join(f"C{1 << e}" for e in exponents)
+    return PcGroup(name, n, powers, [[0] * n for _ in range(n)], validate=True)
+
+
+def relabel(group, rng):
+    """An isomorphic copy of a group whose last generators form a central
+    block: they carry no relations of their own and hold every relation
+    value.  A seeded invertible GF(2) change of basis of that block is
+    applied to every relation value."""
+    support = 0
+    for w in list(group.powers) + [w for row in group.comms for w in row]:
+        support |= w
+    c = (support & -support).bit_length() - 1
+    m = group.n - c
+    assert m >= 2 and not any(group.powers[c:]) and not any(any(r) for r in group.comms[c:])
+    while True:
+        cols = [rng.getrandbits(m) for _ in range(m)]
+        if gf2_rank(cols) == m:
+            break
+
+    def image(word):
+        out = word & ((1 << c) - 1)
+        for j in range(m):
+            if word >> (c + j) & 1:
+                out ^= cols[j] << c
+        return out
+
+    powers = [image(p) for p in group.powers]
+    comms = [[image(w) for w in row] for row in group.comms]
+    return PcGroup(f"{group.name}_relabelled", group.n, powers, comms, validate=True)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,18 @@ from twogroups.homology import (
     schur_cover,
     wedge_space,
 )
+import pytest
+
 from twogroups.linalg import Gf2Span
-from twogroups.pcgroup import PcError, class_centralizers, conjugacy_classes, subgroup
+from twogroups.pcgroup import (
+    ELEMENT_WALK_BOUND,
+    PcError,
+    PcGroup,
+    ScaleError,
+    class_centralizers,
+    conjugacy_classes,
+    subgroup,
+)
 
 
 def test_centralizer_generators_give_centralizer_orders(small_family):
@@ -58,3 +68,11 @@ def test_commuting_wedge_span_matches_brute_force(small_family):
 def test_class_centralizers_is_deterministic(cat):
     g = cat["SG128_1376"]
     assert list(class_centralizers(g)) == list(class_centralizers(g))
+
+
+def test_class_centralizers_refuses_large_groups_at_the_call():
+    # the walk visits every element: C2^21 is refused before the first class
+    n = ELEMENT_WALK_BOUND.bit_length()
+    big = PcGroup(f"C2x{n}", n, [0] * n, [[0] * n for _ in range(n)])
+    with pytest.raises(ScaleError, match="class_centralizers bound"):
+        class_centralizers(big)

@@ -169,6 +169,18 @@ def test_element_walk_bound_is_exit_1(tmp_path, capsys, command):
     assert time.perf_counter() - start < 5
 
 
+def test_sk1_pair_bound_is_exit_1(tmp_path, capsys):
+    # C2^15: 2^15 x 15 (class representative, centralizer generator) pairs
+    # at most, above the bound; refused before the class walk or the cover
+    path = tmp_path / "c2x15.cat"
+    path.write_text("group C2x15\nngens 15\nend\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(["sk1", "C2x15", "--catalog", str(path)], capsys)
+    assert code == 1
+    assert "sk1 bound is |G| n <= 2^18" in err and "got 2^15 x 15" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_cover_finishes_on_growth_seeds(tmp_path):
     # tails matrices on which a Smith form over Z ran for minutes: each call
     # runs in a child process, so that a hang fails here instead of stalling
@@ -190,9 +202,9 @@ def test_cover_finishes_on_growth_seeds(tmp_path):
 
 
 def test_cover_refuses_large_multiplier_at_once(tmp_path):
-    # C2^7 has |H_2| = 2^21 (its cover took minutes in-process): refused on
-    # the Smith form, before the cover is built; a child process, so that a
-    # build that does start fails here by the timeout instead of stalling
+    # C2^7 has |H_2| = 2^21 (its cover took minutes in-process): refused
+    # before the kernel is closed; a child process, so that a closure that
+    # does start fails here by the timeout instead of stalling
     path = tmp_path / "c2x7.cat"
     path.write_text("group C2x7\nngens 7\nend\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -202,7 +214,7 @@ def test_cover_refuses_large_multiplier_at_once(tmp_path):
         env=env, capture_output=True, text=True, timeout=5,
     )
     assert proc.returncode == 1
-    assert "bound is |[G,G]| |H_2(G)| <= 2^16, got 2^21" in proc.stderr
+    assert "bound is |H_2(G)| <= 2^15, got 2^21" in proc.stderr
 
 
 def test_custom_catalog(tmp_path, capsys):

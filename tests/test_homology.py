@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from conftest import rkm
+from conftest import cyclic_product, rkm
 from twogroups.homology import (
     ScaleError,
     commuting_wedges,
@@ -17,19 +18,6 @@ from twogroups.pcgroup import PcError, PcGroup, TailCollector, subquotient_invar
 
 def c4c4():
     return PcGroup("C4xC4", 4, [1 << 2, 1 << 3, 0, 0], [[0] * 4 for _ in range(4)])
-
-
-def cyclic_product(exponents):
-    """C_{2^e1} x C_{2^e2} x ...: one chain of squaring generators per factor."""
-    n = sum(exponents)
-    powers = [0] * n
-    pos = 0
-    for e in exponents:
-        for i in range(pos, pos + e - 1):
-            powers[i] = 1 << (i + 1)
-        pos += e
-    name = "x".join(f"C{1 << e}" for e in exponents)
-    return PcGroup(name, n, powers, [[0] * n for _ in range(n)], validate=True)
 
 
 def random_presentations(seed, count):
@@ -96,10 +84,20 @@ def test_scale_bound(cat):
 
 
 def test_cover_derived_bound():
-    # |H_2| = 2^12 as for R(6,3) seed 603 (3.3 s), but |[G,G]| = 2^5, so the
-    # cover's derived subgroup has 2^17 elements (16.8 s, 535 MB): refused
-    with pytest.raises(ScaleError, match=r"\|\[G,G\]\| \|H_2\(G\)\| <= 2\^16, got 2\^17"):
-        schur_cover(rkm(4, 6, 2))
+    # the kernel closure of schur_cover is sized by |H_2|; C2^7 has
+    # |H_2| = 2^21 (292 s in-process before any bound): refused at once
+    start = time.perf_counter()
+    with pytest.raises(ScaleError, match=r"\|H_2\(G\)\| <= 2\^15, got 2\^21"):
+        schur_cover(cyclic_product([1] * 7))
+    assert time.perf_counter() - start < 5
+
+
+def test_cover_accepts_multiplier_below_bound():
+    # R(4,6) seed 2, |H_2| = 2^12: refused when the bound counted the
+    # cover's derived subgroup (2^17 elements, 16.8 s, 535 MB)
+    cover = schur_cover(rkm(4, 6, 2))
+    assert cover.h2_invariants == (2,) * 12
+    assert cover.stem_part.order == 1 << 12
 
 
 def test_commuting_wedges_abelian_exhaust(cat):

@@ -117,10 +117,10 @@ def test_sk1_values(cat):
 
 def test_sk1_omega_membership(cat):
     data = sk1(cat["SG128_1376"])
-    stem = data.cover.stem_part
+    stem = schur_cover(cat["SG128_1376"]).stem_part
     hits = [x for x in stem.sorted_elements() if data.omega_nontrivial(x)]
     # exactly the non-wedge half of the stem part maps to the nonzero class
-    assert len(hits) == stem.order - data.wedges.order
+    assert len(hits) == stem.order - data.wedge_order
 
 
 def test_extension_criteria_on_catalog_towers(cat):

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from twogroups.ktheory import (
     thm41_check,
     thm42_check,
 )
-from twogroups.linalg import smith_normal_form
+from twogroups.linalg import iter_bits, smith_normal_form
 from twogroups.pcgroup import (
     PcGroup,
     QuotientGroup,
@@ -23,6 +25,7 @@ from twogroups.pcgroup import (
     _inverse_conjugator_fast,
     derived_subgroup,
     homomorphism,
+    standard_subgroups,
     subgroup,
     trivial_subgroup,
 )
@@ -153,6 +156,23 @@ def test_thm42_split_extension_true(cat):
     )
     ext = central_extension(prod, [n + 1])
     assert thm42_check(ext).holds
+
+
+def test_thm42_pinned_on_every_central_involution(cat):
+    # verdict and counterexample of the lifting criterion for every central
+    # involution t of every shipped group of order <= 2^8: 77 cases, 54 of
+    # them with a counterexample, recorded by the coset-table quotient
+    pinned = json.loads((Path(__file__).parent / "thm42_golden.json").read_text())
+    assert set(pinned) == {name for name, g in cat.items() if g.order <= 256}
+    for name, rows in pinned.items():
+        g = cat[name]
+        involutions = [t for t in standard_subgroups(g).center.sorted_elements()
+                       if t and g.square(t) == 0]
+        assert [[b + 1 for b in iter_bits(t)] for t in involutions] == [r[0] for r in rows]
+        for word, holds, counterexample in rows:
+            res = thm42_check(central_extension(g, word))
+            assert res.holds == holds, (name, word)
+            assert (res.witness or {}).get("counterexample") == counterexample, (name, word)
 
 
 def test_search_finds_expected_quotients(cat):

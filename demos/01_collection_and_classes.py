@@ -7,7 +7,7 @@ groups everything collapses to XOR formulas.
 """
 
 from twogroups import conjugacy_classes, fingerprint, shipped_catalog
-from twogroups.pcgroup import quotient, subgroup
+from twogroups.pcgroup import central_quotient
 
 cat = shipped_catalog()
 
@@ -39,8 +39,7 @@ for name in ["D8", "Q8"]:
 
 print()
 print("=== quotient of the cover is the order-128 group ===")
-sigma = subgroup(g, [g.element_from_indices([7, 8])])
-q = quotient(g, sigma)
-print(f"  {g.name}/<x7*x8> has order {q.order};",
+q = central_quotient(g, g.element_from_indices([7, 8])).target
+print(f"  {q.name} is a pc group of order {q.order} on {q.n} generators;",
       "fingerprint matches SG128_1377:",
       fingerprint(q) == fingerprint(cat["SG128_1377"]))

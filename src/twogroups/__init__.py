@@ -45,12 +45,11 @@ from .pcgroup import (
     GroupHom,
     PcError,
     PcGroup,
-    QuotientGroup,
     Subgroup,
     abelianization,
+    central_quotient,
     conjugacy_classes,
     homomorphism,
-    quotient,
     standard_subgroups,
     subgroup,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "GroupHom",
     "PcError",
     "PcGroup",
-    "QuotientGroup",
     "Subgroup",
     "CoverData",
     "CoverPresentation",
@@ -75,6 +73,7 @@ __all__ = [
     "adapted_decomposition",
     "central_extension",
     "central_extension_from_hom",
+    "central_quotient",
     "compatible_pair_check",
     "commuting_wedges",
     "conjecture62_scan",
@@ -92,7 +91,6 @@ __all__ = [
     "lhs_data_for",
     "parse_catalog",
     "parse_poly",
-    "quotient",
     "schur_cover",
     "search_central_extensions",
     "serialize",

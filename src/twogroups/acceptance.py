@@ -34,7 +34,7 @@ from .ooze import (
     lambda4_detect,
 )
 from .oracles import bar_h2, in_ideal_groebner, kunneth_h2_of_cyclic_product, pc_to_table
-from .pcgroup import PcGroup, QuotientGroup, homomorphism, subgroup
+from .pcgroup import PcGroup, central_quotient, homomorphism
 from .ktheory import central_extension_from_hom
 
 SEED = 20260809
@@ -437,8 +437,8 @@ def prop_quotient_homomorphism(samples: int = 10000) -> Tuple[bool, Dict]:
     rng = random.Random(SEED + 2)
     cat = shipped_catalog()
     g = cat["SG256_8177"]
-    q = QuotientGroup(g, subgroup(g, [g.element_from_indices([7, 8])]))
-    p = q.projection
+    p = central_quotient(g, g.element_from_indices([7, 8]))
+    q = p.target
     for _ in range(samples):
         a, b = rng.randrange(g.order), rng.randrange(g.order)
         if q.mult(p(a), p(b)) != p(g.mult(a, b)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -10,15 +11,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import iter_bits
-from .pcgroup import (
-    PcError,
-    PcGroup,
-    Subgroup,
-    check_element_walk,
-    conjugacy_classes,
-    derived_subgroup,
-    subquotient_invariants,
-)
+from .pcgroup import PcError, PcGroup, abelian_invariants, check_element_walk, conjugacy_classes
 
 
 class CatalogError(ValueError):
@@ -175,11 +168,9 @@ class Fingerprint:
         }
 
 
-def fingerprint(group) -> Fingerprint:
+def fingerprint(group: PcGroup) -> Fingerprint:
     check_element_walk(group, "fingerprint")
-    der = derived_subgroup(group)
-    whole = Subgroup(group, group.generators, frozenset(group.elements()))
-    invariants = subquotient_invariants(group, whole, der)
+    invariants = abelian_invariants(group)
     classes = conjugacy_classes(group)
     orders: Dict[int, int] = {}
     exponent = 1
@@ -196,7 +187,7 @@ def fingerprint(group) -> Fingerprint:
         order=group.order,
         abelian_invariants=invariants,
         center_order=sum(1 for c in classes if len(c.elements) == 1),
-        derived_order=der.order,
+        derived_order=group.order // math.prod(invariants),
         exponent=exponent,
         class_sizes=tuple(sorted(len(c.elements) for c in classes)),
         conj_to_inverse_count=conj_inv,

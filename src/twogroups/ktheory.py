@@ -20,10 +20,11 @@ from .linalg import Gf2Span, elementary_coordinates, iter_bits, smith_normal_for
 from .pcgroup import (
     PcError,
     PcGroup,
-    QuotientGroup,
     ScaleError,
     Subgroup,
     _inverse_conjugator_fast,
+    central_lift,
+    central_quotient,
     check_element_walk,
     class_centralizers,
     conjugacy_classes,
@@ -208,10 +209,13 @@ class CentralExtensionData:
     cover_group: object
     sigma: Subgroup
     alpha: object  # GroupHom onto the quotient
-    quotient: object
     sigma_in_derived: bool = False
     omega_disjoint: Optional[bool] = None
     lifting_condition: Optional[bool] = None
+
+    @property
+    def quotient(self):
+        return self.alpha.target
 
     @property
     def t(self) -> int:
@@ -221,22 +225,14 @@ class CentralExtensionData:
         raise PcError("sigma is trivial")
 
 
-def central_extension(cover_group, sigma_word: Sequence[int]) -> CentralExtensionData:
+def central_extension(cover_group: PcGroup, sigma_word: Sequence[int]) -> CentralExtensionData:
     """Natural quotient extension by the order-2 central subgroup <word>."""
-    t = cover_group.element_from_indices(sigma_word) if isinstance(
-        cover_group, PcGroup
-    ) else sigma_word
-    sigma = subgroup(cover_group, [t])
-    if sigma.order != 2 or not sigma.is_central:
-        raise PcError("sigma must be central of order two")
-    q = QuotientGroup(cover_group, sigma)
-    der = derived_subgroup(cover_group)
+    t = cover_group.element_from_indices(sigma_word)
     return CentralExtensionData(
         cover_group=cover_group,
-        sigma=sigma,
-        alpha=q.projection,
-        quotient=q,
-        sigma_in_derived=sigma.elements <= der.elements,
+        sigma=subgroup(cover_group, [t]),
+        alpha=central_quotient(cover_group, t),
+        sigma_in_derived=t in derived_subgroup(cover_group).elements,
     )
 
 
@@ -252,7 +248,6 @@ def central_extension_from_hom(cover_group, alpha) -> CentralExtensionData:
         cover_group=cover_group,
         sigma=ker,
         alpha=alpha,
-        quotient=alpha.target,
         sigma_in_derived=ker.elements <= der.elements,
     )
 
@@ -337,25 +332,22 @@ def find_commutator_pair(group, t: int) -> Optional[Tuple[int, int]]:
 
 def thm42_check(ext: CentralExtensionData) -> CriterionResult:
     """Every quotient element conjugate to its inverse lifts to one with the
-    same property; false comes with the offending element."""
-    g = ext.cover_group
-    q = ext.quotient
-    if not isinstance(q, QuotientGroup):
-        raise PcError("lifting check needs the natural quotient form")
+    same property; false comes with the offending element, printed as its
+    lexicographically least preimage in brackets.  The scan runs on the pc
+    quotient by <t>, so any surjection with kernel <t> gives the same answer.
+
+    One preimage l of h decides: t is central of order two, so y^-1 (l t) y
+    = (l t)^-1 = l^-1 t exactly when y^-1 l y = l^-1."""
+    g, t = ext.cover_group, ext.t
+    q = central_quotient(g, t).target
     for cls in conjugacy_classes(q):
         h = cls.rep
         if q.inv(h) not in cls.elements:
             continue
-        ok = False
-        for hl in q.preimages(h):
-            if conjugate_to_inverse_witness(g, hl) is not None:
-                ok = True
-                break
-        if not ok:
+        lift = central_lift(t, h)
+        if conjugate_to_inverse_witness(g, lift) is None:
             ext.lifting_condition = False
-            return CriterionResult(
-                False, {"counterexample": q.element_str(h)}
-            )
+            return CriterionResult(False, {"counterexample": f"[{g.element_str(lift)}]"})
     ext.lifting_condition = True
     return CriterionResult(True)
 
@@ -389,17 +381,14 @@ def search_central_extensions(group) -> List[ExtensionSearchEntry]:
             continue
         if group.element_order(t) != 2 or t in commutators:
             continue
-        sigma = subgroup(group, [t])
-        q = QuotientGroup(group, sigma)
         ext = CentralExtensionData(
             cover_group=group,
-            sigma=sigma,
-            alpha=q.projection,
-            quotient=q,
+            sigma=subgroup(group, [t]),
+            alpha=central_quotient(group, t),
             sigma_in_derived=True,
             omega_disjoint=True,
         )
-        fp = fingerprint(q)
+        fp = fingerprint(ext.quotient)
         if fp in seen_fps:
             continue
         seen_fps.append(fp)

@@ -256,13 +256,7 @@ def extension_class_rep(ext, base_data: Optional[LhsData] = None) -> TowerClassR
     complement = [cover.element_str(b) for k, b in enumerate(basis) if k != pivot]
     # W-variables of the base: classes of the images of the cover generators
     alpha = ext.alpha
-    base = ext.quotient
-    base_lhs = base_data
-    if base_lhs is None:
-        if isinstance(base, PcGroup):
-            base_lhs = lhs_data_for(base)
-        else:
-            raise LhsError("pass base_data for a non-pc base group")
+    base_lhs = base_data if base_data is not None else lhs_data_for(ext.quotient)
     variables = base_lhs.variables
     frat_base = frattini_subgroup(base_lhs.group)
     _w, wcoord = elementary_coordinates(

@@ -24,7 +24,6 @@ from .pcgroup import (
     Abelianization,
     PcError,
     PcGroup,
-    QuotientGroup,
     abelianization,
     conjugacy_classes,
     least_in_coset,
@@ -495,19 +494,7 @@ def compatible_pair_check(
         )
 
     # (v) lifting criterion plus H^1(SK1) = Z/2
-    if isinstance(ext.quotient, QuotientGroup):
-        r42 = thm42_check(ext)
-    else:
-        # rebuild the natural quotient form for the lifting scan
-        q = QuotientGroup(cover, ext.sigma)
-        nat = CentralExtensionData(
-            cover_group=cover,
-            sigma=ext.sigma,
-            alpha=q.projection,
-            quotient=q,
-            sigma_in_derived=ext.sigma_in_derived,
-        )
-        r42 = thm42_check(nat)
+    r42 = thm42_check(ext)
     h1_sk1_rank = len(sk.invariants)
     if r42.holds and h1_sk1_rank == 1:
         add("v_boundary_injective", "pass", h1_sk1_rank=h1_sk1_rank)

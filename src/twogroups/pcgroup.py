@@ -49,29 +49,7 @@ def _lexkey(bits: int, n: int) -> int:
     return int(format(bits, f"0{n}b")[::-1], 2)
 
 
-class _Powers:
-    """power and element_order from mult, square, inv and identity."""
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inv(g), -k
-        res = self.identity
-        while k:
-            if k & 1:
-                res = self.mult(res, g)
-            g = self.square(g)
-            k >>= 1
-        return res
-
-    def element_order(self, g: int) -> int:
-        order = 1
-        while g != self.identity:
-            g = self.square(g)
-            order <<= 1
-        return order
-
-
-class PcGroup(_Powers):
+class PcGroup:
     """A finite 2-group given by a consistent pc presentation."""
 
     def __init__(
@@ -265,11 +243,26 @@ class PcGroup(_Powers):
     def generators(self) -> List[int]:
         return [1 << i for i in range(self.n)]
 
-    def root_image(self, g: int) -> int:
-        return g
-
     def lexkey(self, g: int) -> int:
         return _lexkey(g, self.n)
+
+    def power(self, g: int, k: int) -> int:
+        if k < 0:
+            g, k = self.inv(g), -k
+        res = 0
+        while k:
+            if k & 1:
+                res = self.mult(res, g)
+            g = self.square(g)
+            k >>= 1
+        return res
+
+    def element_order(self, g: int) -> int:
+        order = 1
+        while g:
+            g = self.square(g)
+            order <<= 1
+        return order
 
     # -- words ----------------------------------------------------------------
 
@@ -353,33 +346,21 @@ class Element:
 
 
 # ---------------------------------------------------------------------------
-# Generic finite-group layer: subgroups, quotients, homomorphisms.
-# Quotient elements are canonical coset representatives of the base group,
-# so "an element" is always an int in the base group's bit encoding.
+# Generic finite-group layer: subgroups, conjugacy, homomorphisms.  These
+# take any group with the operations of PcGroup (identity, elements,
+# generators, mult, inv, square, conj, comm, lexkey) on int elements.
 # ---------------------------------------------------------------------------
 
 
 class Subgroup:
-    """A materialized subgroup of a PcGroup or QuotientGroup."""
+    """A materialized subgroup, its elements as ints of the group."""
 
     def __init__(self, group, gens: Sequence[int], elements: frozenset):
         self.group = group
         self.gens = tuple(gens)
         self.elements = elements
         self.order = len(elements)
-        self._is_normal: Optional[bool] = None
         self._is_central: Optional[bool] = None
-
-    @property
-    def is_normal(self) -> bool:
-        if self._is_normal is None:
-            g = self.group
-            self._is_normal = all(
-                g.conj(h, x) in self.elements
-                for h in self.gens
-                for x in g.generators
-            )
-        return self._is_normal
 
     @property
     def is_central(self) -> bool:
@@ -609,23 +590,19 @@ def standard_subgroups(group) -> StandardSubgroups:
 
 
 class GroupHom:
-    """Homomorphism determined by images of the root pc generators.
+    """Homomorphism determined by images of the pc generators.
 
     The image of a normal form is the ordered product of generator images,
     so `apply` is exact for any map that is a homomorphism; the defining
     relations are checked on construction, which raises otherwise.
     """
 
-    def __init__(self, source, target, images: Sequence[int]):
+    def __init__(self, source: PcGroup, target, images: Sequence[int]):
         self.source = source
         self.target = target
-        root = source
-        while isinstance(root, QuotientGroup):
-            root = root.base
-        self.root = root
         self.images = tuple(images)
-        if len(self.images) != root.n:
-            raise PcError("need one image per pc generator of the source root")
+        if len(self.images) != source.n:
+            raise PcError("need one image per pc generator of the source")
         failure = self.relation_failure()
         if failure is not None:
             raise PcError(f"map does not respect relation {failure}")
@@ -641,22 +618,18 @@ class GroupHom:
         return self.apply(g)
 
     def relation_failure(self) -> Optional[str]:
-        root, t = self.root, self.target
-        for i in range(root.n):
+        s, t = self.source, self.target
+        for i in range(s.n):
             lhs = t.mult(self.apply(1 << i), self.apply(1 << i))
-            rhs = self.apply(root.powers[i])
+            rhs = self.apply(s.powers[i])
             if lhs != rhs:
-                return f"x{i + 1}^2 = {root.element_str(root.powers[i])}"
-            for j in range(i + 1, root.n):
+                return f"x{i + 1}^2 = {s.element_str(s.powers[i])}"
+            for j in range(i + 1, s.n):
                 a, b = self.apply(1 << i), self.apply(1 << j)
                 lhs = t.mult(t.mult(t.inv(t.mult(b, a)), a), b)
-                rhs = self.apply(root.comms[i][j])
+                rhs = self.apply(s.comms[i][j])
                 if lhs != rhs:
-                    return f"[x{i + 1},x{j + 1}] = {root.element_str(root.comms[i][j])}"
-        if isinstance(self.source, QuotientGroup):
-            for g in self.source.modulus.gens:
-                if self.apply(g) != t.identity:
-                    return "kernel of the defining quotient is not respected"
+                    return f"[x{i + 1},x{j + 1}] = {s.element_str(s.comms[i][j])}"
         return None
 
     def is_surjective(self) -> bool:
@@ -675,90 +648,44 @@ def homomorphism(source: PcGroup, target, images: Sequence[int]) -> GroupHom:
     return GroupHom(source, target, images)
 
 
-class QuotientGroup(_Powers):
-    """G/N with canonical (lexicographically least) coset representatives."""
+def central_quotient(group: PcGroup, t: int) -> GroupHom:
+    """The projection of G onto G/<t>, t central of order two, whose target
+    is a validated pc presentation on the n - 1 generators other than x_j,
+    j the lowest set bit of t (the induced presentation of Holt, Eick and
+    O'Brien, Handbook of CGT, ch. 8).
 
-    def __init__(self, base, modulus: Subgroup):
-        if modulus.group is not base:
-            raise PcError("subgroup does not live in the base group")
-        if not modulus.is_normal:
-            raise PcError("can only quotient by a normal subgroup")
-        self.base = base
-        self.modulus = modulus
-        canon: Dict[int, int] = {}
-        reps: List[int] = []
-        nset = modulus.elements
-        for g in sorted(base.elements(), key=base.lexkey):
-            if g in canon:
-                continue
-            reps.append(g)
-            for x in nset:
-                canon[base.mult(g, x)] = g
-        self._canon = canon
-        self._reps = reps
-        self.order = len(reps)
-        self.name = f"{base.name}/{'<' + ','.join(base.element_str(g) for g in modulus.gens) + '>' if modulus.gens else '1'}"
-        if base.order != modulus.order * self.order:
-            raise PcError("coset count does not match |G|/|N|")
-        root = base
-        while isinstance(root, QuotientGroup):
-            root = root.base
-        images = [canon[base.root_image(1 << i)] for i in range(root.n)]
-        self.projection = GroupHom(base, self, images)
-        if not self.projection.is_surjective():
-            raise PcError("projection failed surjectivity check")
+    t = x_j w with w in G_{j+1}, and x_j is central modulo G_{j+1}, so v and
+    v t agree below bit j and differ in bit j.  The image of v is the one of
+    the two with bit j clear, with bit j deleted: the lexicographically
+    least of the two, which `central_lift` recovers."""
+    if not 0 < t < group.order or group.square(t) or any(
+        group.comm(t, x) for x in group.generators
+    ):
+        raise PcError(f"<{group.element_str(t)}> is not central of order two")
+    j = (t & -t).bit_length() - 1
+    low = (1 << j) - 1
 
-    def root_image(self, g: int) -> int:
-        return self._canon[self.base.root_image(g)]
+    def image(v: int) -> int:
+        if v >> j & 1:
+            v = group.mult(v, t)
+        return v & low | v >> (j + 1) << j
 
-    # group protocol ---------------------------------------------------------
-
-    @property
-    def identity(self) -> int:
-        return self.base.identity
-
-    def elements(self) -> List[int]:
-        return self._reps
-
-    @property
-    def generators(self) -> List[int]:
-        seen = []
-        for g in self.base.generators:
-            img = self._canon[g]
-            if img not in seen:
-                seen.append(img)
-        return seen
-
-    def mult(self, a: int, b: int) -> int:
-        return self._canon[self.base.mult(a, b)]
-
-    def inv(self, a: int) -> int:
-        return self._canon[self.base.inv(a)]
-
-    def square(self, a: int) -> int:
-        return self._canon[self.base.square(a)]
-
-    def conj(self, g: int, h: int) -> int:
-        return self._canon[self.base.conj(g, h)]
-
-    def comm(self, a: int, b: int) -> int:
-        return self._canon[self.base.comm(a, b)]
-
-    def lexkey(self, g: int) -> int:
-        return self.base.lexkey(g)
-
-    def element_str(self, g: int) -> str:
-        return f"[{self.base.element_str(g)}]"
-
-    def preimages(self, h: int) -> List[int]:
-        return [self.base.mult(h, x) for x in self.modulus.elements]
-
-    def __repr__(self) -> str:
-        return f"QuotientGroup({self.name}, order={self.order})"
+    keep = [i for i in range(group.n) if i != j]
+    quotient = PcGroup(
+        f"{group.name}/<{group.element_str(t)}>",
+        group.n - 1,
+        [image(group.powers[i]) for i in keep],
+        [[image(group.comms[a][b]) for b in keep] for a in keep],
+    )
+    return GroupHom(group, quotient, [image(1 << i) for i in range(group.n)])
 
 
-def quotient(group, normal: Subgroup) -> QuotientGroup:
-    return QuotientGroup(group, normal)
+def central_lift(t: int, h: int) -> int:
+    """The lexicographically least preimage of an element h of
+    central_quotient(group, t): h with a 0 inserted at the lowest set bit of
+    t.  The other preimage is that times t."""
+    j = (t & -t).bit_length() - 1
+    return h & ((1 << j) - 1) | h >> j << (j + 1)
 
 
 # -- abelianization ----------------------------------------------------------

@@ -36,6 +36,19 @@ def rkm(k, m, seed):
     return PcGroup(f"R{k}_{m}_s{seed}", n, powers, comms, validate=True)
 
 
+class GenericView:
+    """A PcGroup behind an object that is not a PcGroup: every operation is
+    the group's own, but the `isinstance` tests for the class-<=2 fast paths
+    fail, so conjugacy_classes and h1_wh_prime take their generic orbit
+    walks on it, an oracle independent of the fast path."""
+
+    def __init__(self, group):
+        self._group = group
+
+    def __getattr__(self, name):
+        return getattr(self._group, name)
+
+
 def cyclic_product(exponents):
     """C_{2^e1} x C_{2^e2} x ...: one chain of squaring generators per factor."""
     n = sum(exponents)

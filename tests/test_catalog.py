@@ -8,7 +8,7 @@ from twogroups.catalog import (
     serialize_catalog,
     shipped_group,
 )
-from twogroups.pcgroup import QuotientGroup, subgroup
+from twogroups.pcgroup import central_quotient
 
 SHIPPED_NAMES = {
     "C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8",
@@ -80,7 +80,7 @@ def test_fingerprint_separates_d8_q8(cat):
 
 def test_fingerprint_quotient_matches_shipped(cat):
     g = cat["SG256_8177"]
-    q = QuotientGroup(g, subgroup(g, [g.element_from_indices([7, 8])]))
+    q = central_quotient(g, g.element_from_indices([7, 8])).target
     assert fingerprint(q) == fingerprint(cat["SG128_1377"])
 
 

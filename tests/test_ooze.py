@@ -16,7 +16,6 @@ from twogroups.ooze import (
 )
 from twogroups.pcgroup import (
     PcGroup,
-    QuotientGroup,
     abelianization,
     conjugacy_classes,
     derived_subgroup,
@@ -254,13 +253,17 @@ def test_conj62_abelian(cat):
 
 def discrete_logs(group, factor_gens, orders):
     """g -> exponents of its [G,G]-coset along the factor generators, by
-    discrete logs in the materialized quotient G/[G,G]."""
-    q = QuotientGroup(group, derived_subgroup(group))
-    logs = {q.identity: ()}
-    for f, m in zip(factor_gens, orders):
-        logs = {q.mult(x, q.power(f, e)): c + (e,) for x, c in logs.items() for e in range(m)}
-    assert len(logs) == q.order
-    return {g: logs[q.projection(g)] for g in group.elements()}
+    listing each coset x [G,G] for x a product of factor generator powers."""
+    derived = derived_subgroup(group).elements
+    logs = {}
+    for exps in itertools.product(*(range(m) for m in orders)):
+        x = group.identity
+        for f, e in zip(factor_gens, exps):
+            x = group.mult(x, group.power(f, e))
+        for d in derived:
+            logs[group.mult(x, d)] = exps
+    assert len(logs) == group.order
+    return logs
 
 
 def test_adapted_coordinates_match_discrete_logs(cat):
@@ -275,8 +278,8 @@ def test_adapted_coordinates_match_discrete_logs(cat):
 def conj62_oracle(group):
     """conjecture62_scan by brute force: N, T and W as element sets, every
     homomorphism onto Z/2^k tried, and kernels deduplicated by set; the
-    pi^ab coordinates are discrete logs in the quotient group, not the
-    linear map of `Abelianization.coordinates`."""
+    pi^ab coordinates are discrete logs read off the listed [G,G]-cosets,
+    not the linear map of `Abelianization.coordinates`."""
     ab = abelianization(group)
     images = discrete_logs(group, ab.factor_gens, ab.invariants)
     classes = conjugacy_classes(group)

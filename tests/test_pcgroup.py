@@ -5,21 +5,23 @@ from pathlib import Path
 
 import pytest
 
-from conftest import RKM_LARGER, rkm
+from conftest import RKM_LARGER, GenericView, rkm
 from twogroups.catalog import parse_catalog
 from twogroups.linalg import smith_normal_form
 from twogroups.oracles import pc_to_table, quaternion_table_group
 from twogroups.pcgroup import (
     PcError,
-    QuotientGroup,
+    PcGroup,
     Subgroup,
     _lexkey,
+    abelian_invariants,
     abelianization,
     center_span,
+    central_lift,
+    central_quotient,
     conjugacy_classes,
     conjugate_to_inverse_witness,
     homomorphism,
-    quotient,
     standard_subgroups,
     subgroup,
     subquotient_invariants,
@@ -112,11 +114,10 @@ def test_lexkey_matches_exponent_tuple_loop():
 
 
 def test_fast_classes_match_generic_orbit_walk(small_family):
-    # G/1 is not a PcGroup, so conjugacy_classes takes the generic orbit walk
     groups = [g for g in small_family if g.is_fast] + [rkm(*a) for a in RKM_LARGER]
     for g in groups:
         fast = conjugacy_classes(g)
-        slow = conjugacy_classes(QuotientGroup(g, trivial_subgroup(g)))
+        slow = conjugacy_classes(GenericView(g))
         assert [(c.rep, c.elements, c.centralizer_order) for c in fast] == [
             (c.rep, c.elements, c.centralizer_order) for c in slow
         ], g.name
@@ -147,7 +148,7 @@ def test_x1_conjugate_to_inverse_in_1377(cat):
 def test_subgroup_examples(cat):
     g = cat["SG256_8177"]
     sigma = subgroup(g, [g.element_from_indices([7, 8])])
-    assert sigma.order == 2 and sigma.is_central and sigma.is_normal
+    assert sigma.order == 2 and sigma.is_central
     assert trivial_subgroup(g).order == 1
     q8 = cat["Q8"]
     closure = subgroup(q8, [q8.generators[0]], normal_closure=True)
@@ -211,32 +212,53 @@ def test_standard_subgroups(cat):
 
 def test_quotient_examples(cat):
     g = cat["SG256_8177"]
-    q = quotient(g, subgroup(g, [g.element_from_indices([7, 8])]))
-    assert q.order == 128
-    assert g.order == q.order * 2
-    # trivial and full quotients
-    q1 = quotient(g, trivial_subgroup(g))
-    assert q1.order == g.order
-    qfull = quotient(g, subgroup(g, list(g.generators)))
-    assert qfull.order == 1
+    t = g.element_from_indices([7, 8])
+    p = central_quotient(g, t)
+    q = p.target
+    assert isinstance(q, PcGroup) and q.n == g.n - 1 and q.order * 2 == g.order
+    assert q.consistency_failures() == []
+    assert p.is_surjective()
+    for h in q.elements():
+        lift = central_lift(t, h)
+        other = g.mult(lift, t)
+        assert p(lift) == p(other) == h
+        # the coset's lexicographically least element
+        assert g.lexkey(lift) < g.lexkey(other)
 
 
 def test_quotient_projection_random_pairs(cat):
     rng = random.Random(RNG_SEED)
     g = cat["SG256_8177"]
-    q = quotient(g, subgroup(g, [g.element_from_indices([7, 8])]))
-    p = q.projection
+    p = central_quotient(g, g.element_from_indices([7, 8]))
+    q = p.target
     for _ in range(2000):
         a, b = rng.randrange(g.order), rng.randrange(g.order)
         assert p(g.mult(a, b)) == q.mult(p(a), p(b))
 
 
 def test_quotient_requires_normal(cat):
-    d8 = cat["D8"]
-    reflection = subgroup(d8, [d8.generators[0]])
-    assert not reflection.is_normal
-    with pytest.raises(PcError):
-        quotient(d8, reflection)
+    # <t> must be central of order two: a reflection of D8 is not normal, a
+    # generator of C4 is central of order four, and 1 generates nothing
+    d8, c4 = cat["D8"], cat["C4"]
+    reflection = d8.generators[0]
+    assert d8.conj(reflection, d8.generators[1]) not in subgroup(d8, [reflection])
+    for group, t in [(d8, reflection), (c4, c4.generators[0]), (d8, 0), (d8, d8.order)]:
+        with pytest.raises(PcError):
+            central_quotient(group, t)
+
+
+def test_quotient_kernel_is_sigma(small_family):
+    # certificate: for every central involution t the verified projection
+    # has kernel exactly {1, t}, and the pc quotient has |G|/2 elements
+    count = 0
+    for g in small_family:
+        for t in standard_subgroups(g).center.elements:
+            if t and g.square(t) == 0:
+                p = central_quotient(g, t)
+                assert p.kernel().elements == {0, t}, (g.name, t)
+                assert p.target.order * 2 == g.order
+                count += 1
+    assert count == 83
 
 
 def test_abelianization_values(cat):
@@ -266,6 +288,8 @@ def test_abelianization_coordinates_certificate(small_family):
         assert math.prod(d) * ab.derived.order == g.order, g.name
         whole = Subgroup(g, g.generators, frozenset(g.elements()))
         assert subquotient_invariants(g, whole, ab.derived) == d, g.name
+        # the routine behind `fingerprint` against the order-profile oracle
+        assert abelian_invariants(g) == d, g.name
 
 
 def test_abelianization_certificate_rejects_wrong_data(cat):

@@ -23,6 +23,7 @@ from .pcgroup import (
     ScaleError,
     Subgroup,
     _inverse_conjugator_fast,
+    center_transversal,
     central_lift,
     central_quotient,
     check_element_walk,
@@ -31,6 +32,7 @@ from .pcgroup import (
     conjugacy_orbit,
     conjugate_to_inverse_witness,
     derived_subgroup,
+    is_central_quotient,
     standard_subgroups,
     subgroup,
 )
@@ -269,8 +271,11 @@ def commutator_values(group) -> frozenset:
 
 
 def _center_transversal(group) -> List[int]:
-    """One element per coset of Z(G): [g, x_i] = [g', x_i] for every
-    generator x_i exactly when g'g^-1 is central."""
+    """The first element of each coset of Z(G) in element order: [g, x_i] =
+    [g', x_i] for every generator x_i exactly when g'g^-1 is central (on
+    the fast path, `center_transversal` reads the same list off Z(G))."""
+    if isinstance(group, PcGroup) and group.is_fast:
+        return center_transversal(group)
     gens = group.generators
     reps = []
     seen = set()
@@ -339,7 +344,10 @@ def thm42_check(ext: CentralExtensionData) -> CriterionResult:
     One preimage l of h decides: t is central of order two, so y^-1 (l t) y
     = (l t)^-1 = l^-1 t exactly when y^-1 l y = l^-1."""
     g, t = ext.cover_group, ext.t
-    q = central_quotient(g, t).target
+    alpha = ext.alpha
+    if not is_central_quotient(alpha, g, t):
+        alpha = central_quotient(g, t)
+    q = alpha.target
     for cls in conjugacy_classes(q):
         h = cls.rep
         if q.inv(h) not in cls.elements:

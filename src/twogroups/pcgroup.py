@@ -5,6 +5,14 @@ x_i^2 and [x_i, x_j] (i < j, GAP convention [a,b] = a^-1 b^-1 a b) are words
 in strictly later generators.  Normal forms are therefore bit vectors: the
 element x_1^{e_1} ... x_n^{e_n} is stored as the int with bit i-1 = e_i.
 
+When every relation value is central of order <= 2 (class <= 2), products
+take the XOR fast path: with r(j, j) = x_j^2 and r(j, i) = [x_j, x_i] for
+i > j, let F(b, a) = sum of r(j, i) over j in b, i in a, i >= j, over GF(2).
+Then a b = a ^ b ^ F(b, a), a^2 = F(a, a), a^-1 = a ^ F(a, a) and
+[a, b] = F(a, b) ^ F(b, a).  F is bilinear, so it is tabulated once by
+chunks of at most CHUNK_BITS bits (`PcGroup._tabulate`); every other group
+uses the generic collector.
+
 Groups are immutable after construction; every operation is a pure function
 of its inputs (caches are internal memo tables only).
 """
@@ -12,9 +20,11 @@ of its inputs (caches are internal memo tables only).
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import Gf2Span, gf2_kernel, iter_bits, smith_normal_form, transpose_masks
@@ -24,6 +34,9 @@ Word = Sequence[Tuple[int, int]]  # (1-based generator index, exponent)
 # Largest |G| for the scans that visit every element (conjugacy classes,
 # H^1(Wh') and so lambda_4, fingerprint); see README "Scale bounds".
 ELEMENT_WALK_BOUND = 1 << 20
+
+# Widest chunk of the fast path's tables: a block has 2^(2w) entries.
+CHUNK_BITS = 8
 
 
 class PcError(ValueError):
@@ -43,10 +56,16 @@ def check_element_walk(group, what: str) -> None:
         )
 
 
+# byte b -> b with its 8 bits reversed, a bytes.translate table
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _lexkey(bits: int, n: int) -> int:
     """Order normal forms by exponent tuple (e_1, ..., e_n) lexicographically:
-    the n-bit reversal of bits."""
-    return int(format(bits, f"0{n}b")[::-1], 2)
+    the n-bit reversal of bits, whole bytes reversed through a table."""
+    nbytes = (n + 7) >> 3
+    swapped = bits.to_bytes(nbytes, "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(swapped, "big") >> (8 * nbytes - n)
 
 
 class PcGroup:
@@ -90,8 +109,9 @@ class PcGroup:
         self._inv_cache: Dict[int, int] = {0: 0}
         self._conj_gen_cache: Dict[Tuple[int, int], int] = {}
         self._mult_gen_cache: Dict[Tuple[int, int], int] = {}
-        self._sq_cache: Dict[int, int] = {0: 0}
         self._fast = self._detect_fast_path()
+        if self._fast:
+            self._tabulate()
         if validate:
             bad = self.consistency_failures(stop_early=True)
             if bad:
@@ -125,6 +145,57 @@ class PcGroup:
     @property
     def is_fast(self) -> bool:
         return self._fast
+
+    def _tabulate(self) -> None:
+        """Tables of the fast path's bilinear form F(b, a) (module docstring).
+
+        With h one more than the highest generator that is the subject of a
+        relation, only bits [0, h) enter F.  They are split into c chunks of
+        width w <= CHUNK_BITS, and block (p, q), p <= q, tabulates F on
+        chunk p of b and chunk q of a, indexed by b_p << w | a_q: F is the
+        XOR of the c(c+1)/2 lookups.  Entries are 64-bit words."""
+        n = self.n
+        h = 0
+        for i in range(n):
+            if self.powers[i] or any(self.comms[i]) or any(row[i] for row in self.comms):
+                h = i + 1
+        if h and n > 64:
+            raise ScaleError(f"{self.name}: the class-2 tables hold at most 64 generators")
+        c = -(-h // CHUNK_BITS)
+        w = -(-h // c) if c else 0
+        self._chunk_width = w
+        self._chunk_mask = (1 << w) - 1
+        self._blocks = tuple(
+            (self._form_table(p * w, q * w, w, h), p * w, q * w)
+            for p in range(c)
+            for q in range(p, c)
+        )
+
+    def _form_table(self, b_shift: int, a_shift: int, w: int, h: int) -> array:
+        """F(b_p << b_shift, a_q << a_shift) at b_p << w | a_q.  Row b_p is
+        the XOR of row b_p minus its top bit and the row of that bit's
+        generator, which doubles over the bits of a_q the same way."""
+        size = 1 << w
+        table = array("Q", bytes(8 * size))
+        for jb in range(w):
+            j = b_shift + jb
+            gen = [0]
+            for ib in range(w):
+                i = a_shift + ib
+                r = 0
+                if j <= i < h:
+                    r = self.powers[j] if i == j else self.comms[j][i]
+                gen += [x ^ r for x in gen]
+            table.extend(map(xor, table, gen * (1 << jb)))
+        return table
+
+    def _form(self, b: int, a: int) -> int:
+        """F(b, a) = sum over j in b, i in a, i >= j of r(j, i)."""
+        w, m = self._chunk_width, self._chunk_mask
+        acc = 0
+        for table, b_shift, a_shift in self._blocks:
+            acc ^= table[(b >> b_shift & m) << w | a >> a_shift & m]
+        return acc
 
     # -- generic collector ---------------------------------------------------
 
@@ -168,41 +239,21 @@ class PcGroup:
             a = self._mult_gen(a, j)
         return a
 
-    def _mult_fast(self, a: int, b: int) -> int:
-        acc = a ^ b
-        for j in iter_bits(b):
-            hi = a & self._mask_above[j]
-            for i in iter_bits(hi):
-                acc ^= self.comms[j][i]
-        for i in iter_bits(a & b):
-            acc ^= self.powers[i]
-        return acc
-
     # -- public group operations ----------------------------------------------
 
     def mult(self, a: int, b: int) -> int:
         if self._fast:
-            return self._mult_fast(a, b)
+            return a ^ b ^ self._form(b, a)
         return self._mult(a, b)
 
     def square(self, a: int) -> int:
         if self._fast:
-            hit = self._sq_cache.get(a)
-            if hit is not None:
-                return hit
-            low = a & -a
-            j = low.bit_length() - 1
-            rest = a ^ low
-            acc = self.square(rest) ^ self.powers[j]
-            for i in iter_bits(rest):
-                acc ^= self.comms[j][i]
-            self._sq_cache[a] = acc
-            return acc
+            return self._form(a, a)
         return self._mult(a, a)
 
     def inv(self, a: int) -> int:
         if self._fast:
-            return a ^ self.square(a)
+            return a ^ self._form(a, a)
         hit = self._inv_cache.get(a)
         if hit is not None:
             return hit
@@ -223,13 +274,7 @@ class PcGroup:
     def comm(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
         if self._fast:
-            acc = 0
-            for i in iter_bits(a):
-                for j in iter_bits(b):
-                    if i == j:
-                        continue
-                    acc ^= self.comms[i][j] if i < j else self.comms[j][i]
-            return acc
+            return self._form(a, b) ^ self._form(b, a)
         return self.mult(self.mult(self.inv(self.mult(b, a)), a), b)
 
     @property
@@ -541,6 +586,25 @@ def center_span(group: PcGroup) -> Gf2Span:
     return Gf2Span(gf2_kernel(transpose_masks(rows), n))
 
 
+def center_transversal(group: PcGroup) -> List[int]:
+    """Fast path: the least element of each coset of Z(G), ascending.
+
+    Z(G) is a GF(2) subspace of the bit vectors and g Z(G) = g ^ Z(G).  Take
+    an echelon basis of Z(G) keyed by highest set bit: each coset has one
+    element that is 0 at every pivot bit, and it is the least, since adding
+    a nonzero central element sets the highest pivot among its terms and no
+    higher bit.  The transversal is every element on the other bits."""
+    lead: Dict[int, int] = {}
+    for z in center_span(group).basis():
+        while z:
+            top = z.bit_length() - 1
+            if top not in lead:
+                lead[top] = z
+                break
+            z ^= lead[top]
+    return _span_elements([1 << i for i in range(group.n) if i not in lead])
+
+
 def _span_elements(basis: List[int]) -> List[int]:
     out = [0]
     for b in basis:
@@ -577,11 +641,16 @@ class StandardSubgroups:
 
 
 def standard_subgroups(group) -> StandardSubgroups:
-    """Center, derived subgroup, and their intersection."""
-    gens = group.generators
-    center_elems = frozenset(
-        g for g in group.elements() if all(group.comm(g, x) == group.identity for x in gens)
-    )
+    """Center, derived subgroup, and their intersection.  On the fast path
+    the center is the span of the kernel basis of `center_span`."""
+    if isinstance(group, PcGroup) and group.is_fast:
+        center_elems = frozenset(_span_elements(center_span(group).basis()))
+    else:
+        gens = group.generators
+        center_elems = frozenset(
+            g for g in group.elements()
+            if all(group.comm(g, x) == group.identity for x in gens)
+        )
     center = Subgroup(group, sorted(center_elems, key=group.lexkey), center_elems)
     derived = derived_subgroup(group)
     both = center_elems & derived.elements
@@ -658,6 +727,32 @@ def central_quotient(group: PcGroup, t: int) -> GroupHom:
     v t agree below bit j and differ in bit j.  The image of v is the one of
     the two with bit j clear, with bit j deleted: the lexicographically
     least of the two, which `central_lift` recovers."""
+    powers, comms, images = _central_quotient_data(group, t)
+    quotient = PcGroup(
+        f"{group.name}/<{group.element_str(t)}>", group.n - 1, powers, comms
+    )
+    return GroupHom(group, quotient, images)
+
+
+def is_central_quotient(hom, group: PcGroup, t: int) -> bool:
+    """True when hom is the projection that central_quotient(group, t)
+    builds: the same generator images onto the same presentation, so
+    `central_lift(t, .)` inverts it."""
+    if not (isinstance(hom, GroupHom) and hom.source is group):
+        return False
+    powers, comms, images = _central_quotient_data(group, t)
+    target = hom.target
+    return (
+        isinstance(target, PcGroup)
+        and hom.images == tuple(images)
+        and target.powers == tuple(powers)
+        and target.comms == tuple(map(tuple, comms))
+    )
+
+
+def _central_quotient_data(group: PcGroup, t: int):
+    """Power words, commutator table and generator images of
+    central_quotient(group, t); PcError unless t is central of order two."""
     if not 0 < t < group.order or group.square(t) or any(
         group.comm(t, x) for x in group.generators
     ):
@@ -671,13 +766,9 @@ def central_quotient(group: PcGroup, t: int) -> GroupHom:
         return v & low | v >> (j + 1) << j
 
     keep = [i for i in range(group.n) if i != j]
-    quotient = PcGroup(
-        f"{group.name}/<{group.element_str(t)}>",
-        group.n - 1,
-        [image(group.powers[i]) for i in keep],
-        [[image(group.comms[a][b]) for b in keep] for a in keep],
-    )
-    return GroupHom(group, quotient, [image(1 << i) for i in range(group.n)])
+    powers = [image(group.powers[i]) for i in keep]
+    comms = [[image(group.comms[a][b]) for b in keep] for a in keep]
+    return powers, comms, [image(1 << i) for i in range(group.n)]
 
 
 def central_lift(t: int, h: int) -> int:

@@ -7,7 +7,9 @@ import pytest
 from conftest import RKM, RKM_LARGER, GenericView, rkm
 from twogroups.catalog import fingerprint
 from twogroups.homology import schur_cover
+from twogroups import ktheory
 from twogroups.ktheory import (
+    _center_transversal,
     central_extension,
     central_extension_from_hom,
     commutator_values,
@@ -24,6 +26,7 @@ from twogroups.pcgroup import (
     _inverse_conjugator_fast,
     derived_subgroup,
     homomorphism,
+    is_central_quotient,
     standard_subgroups,
     subgroup,
 )
@@ -208,6 +211,29 @@ def test_commutator_values_match_bruteforce(cat):
     for g in [cat["SG128_1376"], twice]:
         brute = {g.comm(a, b) for a in g.elements() for b in g.elements()}
         assert commutator_values(g) == brute, g.name
+
+
+def test_center_transversal_matches_generic_walk(cat, small_family):
+    groups = [g for g in small_family if g.is_fast] + [rkm(*a) for a in RKM_LARGER]
+    for g in groups + [cat["G16384"]]:
+        assert _center_transversal(g) == _center_transversal(GenericView(g)), g.name
+
+
+def test_thm42_reuses_the_projection_of_the_extension(cat, monkeypatch):
+    g, h = cat["SG256_8129"], cat["SG128_1376"]
+    by_hom = central_extension_from_hom(
+        g, homomorphism(g, h, [h.generators[i] for i in range(7)] + [h.generators[4]])
+    )
+    by_word = central_extension(g, [b + 1 for b in iter_bits(by_hom.t)])
+    assert is_central_quotient(by_word.alpha, g, by_word.t)
+    assert not is_central_quotient(by_hom.alpha, g, by_hom.t)
+    expected = thm42_check(by_hom)
+
+    def rebuild(*args):
+        raise AssertionError("central_quotient rebuilt")
+
+    monkeypatch.setattr(ktheory, "central_quotient", rebuild)
+    assert thm42_check(by_word).as_dict() == expected.as_dict()
 
 
 def test_sk1_invariant_under_tail_permutation(cat, monkeypatch):

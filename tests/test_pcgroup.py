@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import RKM_LARGER, GenericView, rkm
+from conftest import RKM_LARGER, GenericView, cyclic_product, rkm
 from twogroups.catalog import parse_catalog
 from twogroups.linalg import smith_normal_form
 from twogroups.oracles import pc_to_table, quaternion_table_group
 from twogroups.pcgroup import (
     PcError,
     PcGroup,
+    ScaleError,
     Subgroup,
     _lexkey,
     abelian_invariants,
@@ -67,18 +68,52 @@ def test_element_wrapper(cat):
     assert str(Element(g, 0)) == "1"
 
 
+def generic_copy(group):
+    """The same presentation with the fast path switched off, so every
+    operation goes through the generic collector and its formulas."""
+    slow = PcGroup(group.name, group.n, group.powers, group.comms, validate=False)
+    slow._fast = False
+    return slow
+
+
 def test_generic_and_fast_collector_agree(cat):
+    # x1^2 = x2, x3^2 = x4, [x1, x3] = x4: the relation-bearing x1 and x3
+    # have the relation-free x2 between them, and x5 is free too
+    gapped = PcGroup(
+        "gapped", 5, [0b10, 0, 0b1000, 0, 0],
+        [[0, 0, 0b1000, 0, 0]] + [[0] * 5 for _ in range(4)],
+    )
+    groups = [cat[name] for name in ["D8", "Q8", "C2xC4", "SG128_1376", "SG256_8177"]]
+    groups += [rkm(k, 4, 100 + k) for k in (3, 8, 9, 12, 16)]
+    groups += [gapped, cyclic_product([1] * 5)]
+    # table lengths: one block of 2^(2h) up to h = 8, then three of 2^(2w),
+    # and none at h = 0
+    shapes = {
+        "D8": [1 << 4], "Q8": [1 << 4], "C2xC4": [1 << 4],
+        "SG128_1376": [1 << 8], "SG256_8177": [1 << 8],
+        "R3_4_s103": [1 << 6], "R8_4_s108": [1 << 16], "R9_4_s109": [1 << 10] * 3,
+        "R12_4_s112": [1 << 12] * 3, "R16_4_s116": [1 << 16] * 3,
+        "gapped": [1 << 6], "C2xC2xC2xC2xC2": [],
+    }
     rng = random.Random(RNG_SEED)
-    for name in ["D8", "Q8", "C2xC4", "SG128_1376", "SG256_8177"]:
-        g = cat[name]
-        assert g.is_fast
-        for _ in range(300):
+    for g in groups:
+        assert g.is_fast, g.name
+        assert [len(table) for table, _, _ in g._blocks] == shapes[g.name]
+        slow = generic_copy(g)
+        for _ in range(200):
             a, b = rng.randrange(g.order), rng.randrange(g.order)
-            assert g._mult(a, b) == g.mult(a, b)
-        for _ in range(100):
-            a = rng.randrange(g.order)
-            assert g.mult(a, g.inv(a)) == 0
-            assert g.square(a) == g.mult(a, a)
+            assert g.mult(a, b) == g._mult(a, b), g.name
+            assert g.square(a) == slow.square(a) == g.mult(a, a), g.name
+            assert g.inv(a) == slow.inv(a), g.name
+            assert g.mult(a, g.inv(a)) == 0, g.name
+            assert g.comm(a, b) == slow.comm(a, b), g.name
+            assert g.conj(a, b) == slow.conj(a, b), g.name
+
+
+def test_form_tables_hold_64_bit_words():
+    assert cyclic_product([1] * 65).mult(1, 1 << 64) == 1 | 1 << 64
+    with pytest.raises(ScaleError):
+        PcGroup("C4xC2^64", 66, [2] + [0] * 65, [[0] * 66 for _ in range(66)])
 
 
 def test_all_normal_forms_distinct_and_closed(cat):
@@ -122,6 +157,7 @@ def test_fast_classes_match_generic_orbit_walk(small_family):
             (c.rep, c.elements, c.centralizer_order) for c in slow
         ], g.name
         center = standard_subgroups(g).center
+        assert center.elements == standard_subgroups(GenericView(g)).center.elements
         assert 1 << center_span(g).rank == center.order, g.name
         assert all(center_span(g).reduce(z) == 0 for z in center.elements), g.name
 

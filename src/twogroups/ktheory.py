@@ -254,37 +254,22 @@ def central_extension_from_hom(cover_group, alpha) -> CentralExtensionData:
     )
 
 
-def commutator_values(group) -> frozenset:
-    """The set {[g, h] : g, h in G} (not its span), over a transversal of
-    the center in both arguments: [gz, h] = [g, hz] = [g, h] for central z."""
+def commutator_values(group) -> Dict[int, Tuple[int, int]]:
+    """Each commutator [g, h] of G (the set, not its span) mapped to its
+    first pair (g, h) in one scan over a transversal of the center in both
+    arguments, g outer: [gz, h] = [g, hz] = [g, h] for central z."""
     from .parallel import map_chunks
 
-    elems = _center_transversal(group)
+    elems = center_transversal(group)
 
     def scan(chunk):
-        return {group.comm(g, h) for g in chunk for h in elems}
+        first: Dict[int, Tuple[int, int]] = {}
+        for g in chunk:
+            for h in elems:
+                first.setdefault(group.comm(g, h), (g, h))
+        return first
 
-    out: set = set()
-    for part in map_chunks(scan, elems):
-        out |= part
-    return frozenset(out)
-
-
-def _center_transversal(group) -> List[int]:
-    """The first element of each coset of Z(G) in element order: [g, x_i] =
-    [g', x_i] for every generator x_i exactly when g'g^-1 is central (on
-    the fast path, `center_transversal` reads the same list off Z(G))."""
-    if isinstance(group, PcGroup) and group.is_fast:
-        return center_transversal(group)
-    gens = group.generators
-    reps = []
-    seen = set()
-    for g in group.elements():
-        key = tuple(group.comm(g, x) for x in gens)
-        if key not in seen:
-            seen.add(key)
-            reps.append(g)
-    return reps
+    return map_chunks(scan, elems)[0]
 
 
 @dataclass
@@ -310,7 +295,7 @@ def thm41_check(ext: CentralExtensionData) -> CriterionResult:
     if not ext.sigma_in_derived:
         ext.omega_disjoint = False
         return CriterionResult(False, {"reason": "sigma not inside derived subgroup"})
-    pair = find_commutator_pair(g, t)
+    pair = commutator_values(g).get(t)
     if pair is not None:
         ext.omega_disjoint = False
         return CriterionResult(
@@ -322,17 +307,6 @@ def thm41_check(ext: CentralExtensionData) -> CriterionResult:
         )
     ext.omega_disjoint = True
     return CriterionResult(True, {"sigma": g.element_str(t)})
-
-
-def find_commutator_pair(group, t: int) -> Optional[Tuple[int, int]]:
-    """A pair (a, b) with [a, b] = t, or None (brute force over pairs of
-    center coset representatives)."""
-    elems = _center_transversal(group)
-    for a in elems:
-        for b in elems:
-            if group.comm(a, b) == t:
-                return (a, b)
-    return None
 
 
 def thm42_check(ext: CentralExtensionData) -> CriterionResult:

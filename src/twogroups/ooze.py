@@ -27,7 +27,6 @@ from .pcgroup import (
     abelianization,
     conjugacy_classes,
     least_in_coset,
-    subgroup,
 )
 from .ktheory import (
     CentralExtensionData,
@@ -277,6 +276,19 @@ class Lambda4Report:
         return out
 
 
+def _parity_kernel_generators(n: int, mask: int) -> List[int]:
+    """Generators of N = {g : g & mask has even parity}, the kernel of a
+    certified linear coordinate mod 2, so a subgroup of index 2; they are
+    the ones `subgroup` keeps when it closes the lexicographically sorted
+    elements of N.  That closure keeps, for each x_b from x_n down to x_1,
+    the least element of N whose first nonzero exponent is at b, since
+    |N & G_b : N & G_(b+1)| <= 2.  With top the highest bit of the mask,
+    that is x_b for b outside the mask, x_b x_top for b < top in it, and
+    none for b = top."""
+    top = mask.bit_length() - 1
+    return [1 << b | (mask >> b & 1) << top for b in reversed(range(n)) if b != top]
+
+
 def lambda4_detect(group: PcGroup) -> Lambda4Report:
     """Nonzero / zero / undecided verdict for delta o beta o s_*.
 
@@ -363,16 +375,16 @@ def lambda4_detect(group: PcGroup) -> Lambda4Report:
         v1 = dec.v_elems[i]
         if v1 in wh.c_subgroup.elements:
             raise OozeError("certificate factor has delta(v_1) = 0")
-        kernel_elems = [g for g in group.elements() if not (g & mask).bit_count() & 1]
-        n_sub = subgroup(group, sorted(kernel_elems, key=group.lexkey))
         cert = {
             "factor_index": i + 1,
             "projection_functional": {
                 f"x{lhs.w_labels[a]}": c for a, c in enumerate(func_bits)
             },
             "v1": group.element_str(v1),
-            "kernel_order": n_sub.order,
-            "kernel_generators": [group.element_str(x) for x in n_sub.gens],
+            "kernel_order": group.order // 2,
+            "kernel_generators": [
+                group.element_str(x) for x in _parity_kernel_generators(group.n, mask)
+            ],
             "survivor": str(quartic),
             "survival": verdict.as_dict(),
         }

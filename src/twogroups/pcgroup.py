@@ -480,50 +480,91 @@ class ConjugacyClass:
 
 
 def conjugacy_classes(group) -> List[ConjugacyClass]:
-    """Partition of the group into conjugacy classes with centralizer orders.
-
-    For class-<=2 pc groups the class of g is the coset g*[g,G] with [g,G]
-    the GF(2) span of the generator commutators, which depends only on the
-    coset of g modulo the center, so it is built once per center coset;
-    otherwise a generic orbit walk is used.
-    """
+    """Partition of the group into conjugacy classes with centralizer orders,
+    read off the one class walk (`_class_walk`)."""
     check_element_walk(group, "conjugacy_classes")
     classes = []
-
-    def add(members) -> None:
+    for _g, members, _gens in _class_walk(group, centralizers=False):
         elements = tuple(sorted(members, key=group.lexkey))
         classes.append(ConjugacyClass(elements[0], elements, group.order // len(elements)))
+    classes.sort(key=lambda c: group.lexkey(c.rep))
+    return classes
 
+
+def class_centralizers(group) -> Iterator[Tuple[int, List[int]]]:
+    """One (g, gens) per conjugacy class, in element order of the first
+    member g, with subgroup(group, gens) = C_G(g) and no identity or repeat
+    in gens; read off the one class walk (`_class_walk`).  The walk visits
+    every element, so the element-walk bound is checked at the call."""
+    check_element_walk(group, "class_centralizers")
+    return ((g, gens) for g, _members, gens in _class_walk(group, centralizers=True))
+
+
+def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
+    """The one pass over the conjugacy classes, in element order of each
+    class's first member g: yields (g, the members of its class, generators
+    of C_G(g) if `centralizers` else None).
+
+    Fast path: h -> [g, h] = F(g, h) ^ F(h, g) is GF(2)-linear in the bits
+    of h, with image [g, G] spanned by the [g, x_i], and both depend only on
+    the coset of g modulo the center (`center_span`), so they are built once
+    per coset.  The class of g is g ^ [g, G].  C_G(g) is exactly the kernel
+    K of h -> [g, h], and `gf2_kernel` gives a GF(2) basis of it that also
+    generates it as a group: let S be the bits that occur in relation
+    values.  Each x_j, j in S, carries no relation of its own, so it is
+    central, column j of the map is zero and the basis holds the unit vector
+    e_j.  For h in K written as the XOR b_1 ^ ... ^ b_k of basis vectors,
+    the product p = b_1 ... b_k differs from h by an XOR z of F values, all
+    of whose bits lie in S; F(z, .) = 0, so p z = p ^ z = h, and z is a
+    product of the e_j in the basis.
+
+    Generic path: one `conjugacy_orbit` per class.  For the centralizer it
+    records the walk's steps (y, x, y^x), and the distinct non-identity
+    Schreier generators t_y x t_{y^x}^-1 generate C_G(g) (Holt, Eick and
+    O'Brien, Handbook of CGT, 4.1); the classes alone skip those products."""
     if isinstance(group, PcGroup) and group.is_fast:
         center = center_span(group)
-        spans: Dict[int, List[int]] = {}
+        per_coset: Dict[int, Tuple[List[int], Optional[List[int]]]] = {}
         seen = bytearray(group.order)
         for g in range(group.order):
             if seen[g]:
                 continue
             key = center.reduce(g)
-            if key not in spans:
-                span = Gf2Span(group.comm(g, x) for x in group.generators)
-                spans[key] = _span_elements(span.basis())
-            members = [g ^ c for c in spans[key]]
+            if key not in per_coset:
+                image = [group.comm(g, x) for x in group.generators]
+                gens = gf2_kernel(transpose_masks(image), group.n) if centralizers else None
+                per_coset[key] = (_span_elements(Gf2Span(image).basis()), gens)
+            span, gens = per_coset[key]
+            members = [g ^ c for c in span]
             for m in members:
                 seen[m] = 1
-            add(members)
-    else:
-        seen = set()
-        for g in group.elements():
-            if g not in seen:
-                orbit = conjugacy_orbit(group, g)
-                seen.update(orbit)
-                add(orbit)
-    classes.sort(key=lambda c: group.lexkey(c.rep))
-    return classes
+            yield g, members, gens
+        return
+    identity = group.identity
+    seen = set()
+    for g in group.elements():
+        if g in seen:
+            continue
+        steps = [] if centralizers else None
+        orbit = conjugacy_orbit(group, g, _steps=steps)
+        seen.update(orbit)
+        if steps is None:
+            yield g, orbit, None
+            continue
+        t_inv = {y: group.inv(t) for y, t in orbit.items()}
+        schreier: Dict[int, None] = {}
+        for y, x, z in steps:
+            s = group.mult(group.mult(orbit[y], x), t_inv[z])
+            if s != identity:
+                schreier[s] = None
+        yield g, orbit, list(schreier)
 
 
-def conjugacy_orbit(group, g: int) -> Dict[int, int]:
+def conjugacy_orbit(group, g: int, *, _steps: Optional[list] = None) -> Dict[int, int]:
     """The class of g as {y: t} with t^-1 g t = y: a breadth-first orbit walk
     under conjugation by the generators that records one transporter per
-    element (Holt, Eick and O'Brien, Handbook of CGT, 4.1)."""
+    element (Holt, Eick and O'Brien, Handbook of CGT, 4.1).  The class walk
+    passes a list as `_steps` to receive every step (y, x, y^x)."""
     orbit = {g: group.identity}
     frontier = [g]
     while frontier:
@@ -531,50 +572,13 @@ def conjugacy_orbit(group, g: int) -> Dict[int, int]:
         for h in frontier:
             for x in group.generators:
                 y = group.conj(h, x)
+                if _steps is not None:
+                    _steps.append((h, x, y))
                 if y not in orbit:
                     orbit[y] = group.mult(orbit[h], x)
                     nxt.append(y)
         frontier = nxt
     return orbit
-
-
-def class_centralizers(group) -> Iterator[Tuple[int, List[int]]]:
-    """One (g, gens) per conjugacy class, in element order of the first
-    member g: gens are the distinct non-identity Schreier generators
-    t_y x t_{y^x}^-1 (y in the orbit, x a pc generator) of the orbit walk,
-    so subgroup(group, gens) is the centralizer C_G(g).  The walk visits
-    every element, so the element-walk bound is checked at the call."""
-    check_element_walk(group, "class_centralizers")
-    return _class_centralizers(group)
-
-
-def _class_centralizers(group) -> Iterator[Tuple[int, List[int]]]:
-    identity = group.identity
-    pc_gens = group.generators
-    seen = set()
-    for g in group.elements():
-        if g in seen:
-            continue
-        # the breadth-first walk of `conjugacy_orbit`, keeping every edge
-        # y -> y^x so that each conjugate is computed once
-        orbit = {g: identity}
-        queue = [g]
-        edges = []
-        for y in queue:
-            for x in pc_gens:
-                z = group.conj(y, x)
-                edges.append((y, x, z))
-                if z not in orbit:
-                    orbit[z] = group.mult(orbit[y], x)
-                    queue.append(z)
-        seen.update(orbit)
-        t_inv = {y: group.inv(t) for y, t in orbit.items()}
-        gens: Dict[int, None] = {}
-        for y, x, z in edges:
-            s = group.mult(group.mult(orbit[y], x), t_inv[z])
-            if s != identity:
-                gens[s] = None
-        yield g, list(gens)
 
 
 def center_span(group: PcGroup) -> Gf2Span:
@@ -586,14 +590,23 @@ def center_span(group: PcGroup) -> Gf2Span:
     return Gf2Span(gf2_kernel(transpose_masks(rows), n))
 
 
-def center_transversal(group: PcGroup) -> List[int]:
-    """Fast path: the least element of each coset of Z(G), ascending.
+def center_transversal(group) -> List[int]:
+    """The least element of each coset of Z(G), ascending.
 
-    Z(G) is a GF(2) subspace of the bit vectors and g Z(G) = g ^ Z(G).  Take
-    an echelon basis of Z(G) keyed by highest set bit: each coset has one
-    element that is 0 at every pivot bit, and it is the least, since adding
-    a nonzero central element sets the highest pivot among its terms and no
-    higher bit.  The transversal is every element on the other bits."""
+    [g, x_i] = [g', x_i] for every generator x_i exactly when g'g^-1 is
+    central, so the generic walk keeps the first element of each value of
+    that key.  Fast path: Z(G) is a GF(2) subspace of the bit vectors and
+    g Z(G) = g ^ Z(G).  Take an echelon basis of Z(G) keyed by highest set
+    bit: each coset has one element that is 0 at every pivot bit, and it is
+    the least, since adding a nonzero central element sets the highest
+    pivot among its terms and no higher bit.  The transversal is every
+    element on the other bits."""
+    if not (isinstance(group, PcGroup) and group.is_fast):
+        gens = group.generators
+        keys: Dict[Tuple[int, ...], int] = {}
+        for g in group.elements():
+            keys.setdefault(tuple(group.comm(g, x) for x in gens), g)
+        return list(keys.values())
     lead: Dict[int, int] = {}
     for z in center_span(group).basis():
         while z:

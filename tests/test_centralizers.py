@@ -2,18 +2,25 @@
 
 `commuting_wedges` and `commuting_wedge_span` read only the pairs
 (class representative, centralizer generator) of `class_centralizers`; the
-oracle is the |G|^2 walk `commuting_pairs` over every commuting pair.
+oracle is the |G|^2 walk `commuting_pairs` over every commuting pair.  On
+the class-2 fast path the generators are a kernel basis, on the generic
+path Schreier generators of the orbit walk; `GenericView` runs the generic
+walk on a fast group.
 """
 
+import pytest
+
+from conftest import RKM, RKM_LARGER, GenericView, rkm
+from twogroups import pcgroup
 from twogroups.homology import (
     commuting_pairs,
     commuting_wedge_span,
     commuting_wedges,
+    cover_presentation,
     schur_cover,
     wedge_space,
 )
-import pytest
-
+from twogroups.ktheory import sk1
 from twogroups.linalg import Gf2Span
 from twogroups.pcgroup import (
     ELEMENT_WALK_BOUND,
@@ -27,7 +34,9 @@ from twogroups.pcgroup import (
 
 
 def test_centralizer_generators_give_centralizer_orders(small_family):
-    for g in small_family:
+    larger = [rkm(*a) for a in RKM_LARGER]
+    fast = [g for g in small_family + larger if g.is_fast]
+    for g in small_family + larger + [GenericView(f) for f in fast]:
         class_of = {x: c for c in conjugacy_classes(g) for x in c.elements}
         reps = []
         for rep, gens in class_centralizers(g):
@@ -38,6 +47,43 @@ def test_centralizer_generators_give_centralizer_orders(small_family):
         assert sorted(class_of[r].rep for r in reps) == sorted(
             c.rep for c in conjugacy_classes(g)
         ), g.name
+    for g in fast:
+        # both walks take the first member of each class in element order
+        generic = [rep for rep, _gens in class_centralizers(GenericView(g))]
+        assert [rep for rep, _gens in class_centralizers(g)] == generic, g.name
+
+
+def test_fast_and_generic_walks_give_the_same_sk1_and_wedge_span(cat):
+    groups = [rkm(*a) for a in RKM + RKM_LARGER] + [g for g in cat.values() if g.is_fast]
+    spans = 0
+    for g in groups:
+        cover = cover_presentation(g)
+        assert sk1(g, cover).as_dict() == sk1(GenericView(g), cover).as_dict(), g.name
+        try:
+            ws = wedge_space(g)
+        except PcError:
+            continue
+        fast_span = commuting_wedge_span(g, ws)
+        generic_span = commuting_wedge_span(GenericView(g), ws)
+        assert fast_span.rank == generic_span.rank, g.name
+        assert all(generic_span.contains(v) for v in fast_span.basis()), g.name
+        spans += 1
+    assert spans >= 10
+
+
+def test_fast_walk_never_takes_the_orbit_walk(cat, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("conjugacy_orbit called on the fast path")
+
+    monkeypatch.setattr(pcgroup, "conjugacy_orbit", refuse)
+    for g in [cat["G16384"]] + [rkm(*a) for a in RKM_LARGER]:
+        assert g.is_fast
+        reps = [rep for rep, _gens in class_centralizers(g)]
+        assert len(reps) == len(conjugacy_classes(g)), g.name
+        data = sk1(g)
+        if g.name == "G16384":
+            assert data.invariants == ()
+            assert data.cover.h2_invariants == (2,) * 12 + (4,) * 8
 
 
 def test_commuting_wedges_match_brute_force(small_family):

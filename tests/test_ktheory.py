@@ -9,7 +9,6 @@ from twogroups.catalog import fingerprint
 from twogroups.homology import schur_cover
 from twogroups import ktheory
 from twogroups.ktheory import (
-    _center_transversal,
     central_extension,
     central_extension_from_hom,
     commutator_values,
@@ -24,6 +23,7 @@ from twogroups.pcgroup import (
     PcGroup,
     TailCollector,
     _inverse_conjugator_fast,
+    center_transversal,
     derived_subgroup,
     homomorphism,
     is_central_quotient,
@@ -210,13 +210,25 @@ def test_commutator_values_match_bruteforce(cat):
     assert not twice.is_fast
     for g in [cat["SG128_1376"], twice]:
         brute = {g.comm(a, b) for a in g.elements() for b in g.elements()}
-        assert commutator_values(g) == brute, g.name
+        assert set(commutator_values(g)) == brute, g.name
+
+
+def test_commutator_values_keep_the_first_pair_in_scan_order(cat):
+    # thm41_check prints the pair: the first (a, b) over the center
+    # transversal, a outer, whose commutator is the value
+    for g in [cat["SG256_8177"], schur_cover(schur_cover(cat["D8"]).cover).cover]:
+        elems = center_transversal(g)
+        first = {}
+        for a in elems:
+            for b in elems:
+                first.setdefault(g.comm(a, b), (a, b))
+        assert commutator_values(g) == first, g.name
 
 
 def test_center_transversal_matches_generic_walk(cat, small_family):
     groups = [g for g in small_family if g.is_fast] + [rkm(*a) for a in RKM_LARGER]
     for g in groups + [cat["G16384"]]:
-        assert _center_transversal(g) == _center_transversal(GenericView(g)), g.name
+        assert center_transversal(g) == center_transversal(GenericView(g)), g.name
 
 
 def test_thm42_reuses_the_projection_of_the_extension(cat, monkeypatch):

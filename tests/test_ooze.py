@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
-from conftest import rkm
+from conftest import RKM, RKM_LARGER, rkm
 from twogroups.homology import commuting_wedge_span, schur_cover, commuting_wedges, wedge_space
 from twogroups.ktheory import central_extension_from_hom, sk1
 from twogroups.lhs import lhs_data_for
+from twogroups.linalg import iter_bits
 from twogroups.ooze import (
     OozeError,
+    _parity_kernel_generators,
     adapted_decomposition,
     compatible_pair_check,
     conjecture62_scan,
@@ -20,6 +22,7 @@ from twogroups.pcgroup import (
     conjugacy_classes,
     derived_subgroup,
     homomorphism,
+    subgroup,
 )
 
 
@@ -140,6 +143,29 @@ def test_lambda4_certificate_is_verified(cat):
     dm = delta_map(g)
     v1 = g.collect([(int(t[1:]), 1) for t in cert["v1"].split("*")])
     assert dm.value(v1) != 0
+
+
+def test_parity_kernel_generators_match_closure(cat):
+    # the oracle is the closure of the lex-sorted kernel; the masks are the
+    # mod-2 coordinates of pi^ab and their sums, each a homomorphism onto
+    # Z/2 (at most 16 per group)
+    checked = 0
+    for g in list(cat.values()) + [rkm(*a) for a in RKM + RKM_LARGER]:
+        coords = abelianization(g).gen_coords
+        factors = [
+            sum((row[j] & 1) << b for b, row in enumerate(coords))
+            for j in range(len(coords[0]))
+        ]
+        for combo in range(1, min(1 << len(factors), 17)):
+            mask = 0
+            for j in iter_bits(combo):
+                mask ^= factors[j]
+            kernel = [x for x in g.elements() if not (x & mask).bit_count() & 1]
+            oracle = subgroup(g, sorted(kernel, key=g.lexkey))
+            assert oracle.order == g.order // 2, (g.name, mask)
+            assert _parity_kernel_generators(g.n, mask) == list(oracle.gens), (g.name, mask)
+            checked += 1
+    assert checked == 234
 
 
 def _tower(cat):

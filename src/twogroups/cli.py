@@ -26,7 +26,7 @@ from .catalog import (
     serialize,
     shipped_catalog,
 )
-from .f2poly import PolyError, parse_poly
+from .f2poly import F2Poly, PolyError, parse_poly
 from .homology import ScaleError, schur_cover
 from .ktheory import (
     central_extension_from_hom,
@@ -55,6 +55,10 @@ def _load_groups(paths: List[str]) -> Dict[str, PcGroup]:
 
 class UnknownGroupError(LookupError):
     """A group reference that neither the shipped catalog nor --catalog has."""
+
+
+class UsageError(ValueError):
+    """Malformed command-line input, found before any computation."""
 
 
 def _resolve(groups: Dict[str, PcGroup], ref: str) -> PcGroup:
@@ -93,6 +97,21 @@ def _word(text: str) -> List[int]:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise PolyError(f"bad generator word {text!r}") from exc
+
+
+def _indices(label: str, text: str, low: int, high: int) -> List[int]:
+    idx = _word(text)
+    for i in idx:
+        if not low <= i <= high:
+            raise UsageError(f"{label} index {i} out of range {low}..{high}")
+    return idx
+
+
+def _quadratic(label: str, text: str, variables) -> F2Poly:
+    poly = parse_poly(text, variables)
+    if poly and (not poly.is_homogeneous() or poly.degree() != 2):
+        raise UsageError(f"--{label} must be homogeneous of degree 2 (or zero)")
+    return poly
 
 
 def cmd_info(args, groups) -> int:
@@ -173,28 +192,18 @@ def cmd_lambda4(args, groups) -> int:
 def cmd_compat(args, groups) -> int:
     g = _resolve(groups, args.group)
     cover = _resolve(groups, args.cover)
-    if not args.images:
-        raise PcError(
-            "compat needs --images: the verified surjection onto the base "
-            "group, one image index per cover generator"
-        )
-    idx = _word(args.images)
+    idx = _indices("image", args.images or "", 0, g.n)
     if len(idx) != cover.n:
-        raise PcError(f"need {cover.n} generator images, got {len(idx)}")
-    images = []
-    for i in idx:
-        if not 0 <= i <= g.n:
-            raise PcError(f"image index {i} out of range 0..{g.n} (0 = identity)")
-        images.append(g.generators[i - 1] if i else 0)
+        raise UsageError(f"--images needs {cover.n} generator images, got {len(idx)}")
+    images = [g.generators[i - 1] if i else 0 for i in idx]
+    sigma = _indices("--sigma", args.sigma or "", 1, cover.n)
+    data = lhs_data_for(g)
+    theta = _quadratic("theta", args.theta, data.variables)
+    z = _quadratic("z", args.z, data.variables)
     alpha = homomorphism(cover, g, images)
     ext = central_extension_from_hom(cover, alpha)
-    if args.sigma:
-        t = cover.element_from_indices(_word(args.sigma))
-        if t not in ext.sigma.elements:
-            raise PcError("--sigma word does not generate the kernel of --images")
-    data = lhs_data_for(g)
-    theta = parse_poly(args.theta, data.variables)
-    z = parse_poly(args.z, data.variables)
+    if sigma and cover.element_from_indices(sigma) not in ext.sigma.elements:
+        raise PcError("--sigma word does not generate the kernel of --images")
     report = compatible_pair_check(g, ext, theta, z)
     _emit(args, g, "compatible_pair", report.as_dict())
     return 0
@@ -285,7 +294,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UnknownGroupError as exc:
         print(f"error: unknown group {exc.args[0]!r}", file=sys.stderr)
         return USAGE_ERROR
-    except PolyError as exc:
+    except (PolyError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ScaleError, LhsError, OozeError, PcError) as exc:

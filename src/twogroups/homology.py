@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .linalg import (
     Gf2Span,
@@ -31,8 +31,8 @@ from .pcgroup import (
     Subgroup,
     TailCollector,
     abelian_invariants,
+    abelianization,
     class_centralizers,
-    derived_subgroup,
     subgroup,
     subquotient_invariants,
     trivial_subgroup,
@@ -277,7 +277,7 @@ class WedgeSpace:
     derived_basis: List[int]
     comm_matrix: List[int]         # per pair: derived coordinates as a bitmask
     kernel_basis: List[int]        # masks over pair indices
-    _class_coord: Dict[int, int] = None
+    gen_masks: List[int]           # class_mask of each pc generator x_i
 
     def pair_index(self, i: int, j: int) -> int:
         return self.pairs.index((i, j) if i < j else (j, i))
@@ -292,8 +292,12 @@ class WedgeSpace:
         return "+".join(parts)
 
     def class_mask(self, g: int) -> int:
-        """Coordinates of [g] in pi^ab along the factor basis."""
-        return self._class_coord[g]
+        """Coordinates of [g] in pi^ab along the factor basis, linear in
+        the exponent bits of g."""
+        mask = 0
+        for i in iter_bits(g):
+            mask ^= self.gen_masks[i]
+        return mask
 
     def wedge_of_classes(self, u: int, v: int) -> int:
         """Lambda^2 expansion of [u] wedge [v] for coordinate masks u, v."""
@@ -310,17 +314,23 @@ def wedge_space(group) -> WedgeSpace:
     kernel_basis spans the kernel of e_ij -> [g_i, g_j]; it equals the image
     of H_2(G;Z) in H_2(G^ab;Z) for such groups (five-term exact sequence).
     """
-    der = derived_subgroup(group)
+    ab = abelianization(group)
+    der = ab.derived
     if not der.is_central:
         raise PcError("derived subgroup is not central")
-    # classes modulo derived, coordinatized greedily over pc generator images
-    gens = group.generators
-    if any(group.square(g) not in der.elements for g in gens):
+    if any(d != 2 for d in ab.invariants):
         raise PcError("abelianization is not elementary abelian")
-    lifts, coord = elementary_coordinates(group.mult, der.elements, gens)
-    if len(coord) != group.order:
+    # the class of x_i is its Smith coordinate vector; the lifts are the
+    # generators whose classes are new, in ascending order
+    gens = group.generators
+    classes = [ab.omega_bits(g) for g in gens]
+    seen = Gf2Span()
+    lift_index = [i for i, v in enumerate(classes) if seen.add(v)]
+    r = len(lift_index)
+    if r != len(ab.invariants):
         raise PcError("pc generator classes do not span the abelianization")
-    r = len(lifts)
+    lifts = [gens[i] for i in lift_index]
+    lift_span = Gf2Span(classes[i] for i in lift_index)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
     basis, dcoord = elementary_coordinates(
         group.mult, [group.identity], der.sorted_elements()
@@ -336,12 +346,12 @@ def wedge_space(group) -> WedgeSpace:
         group=group,
         rank=r,
         factor_lifts=lifts,
-        factor_labels=[gens.index(g) + 1 for g in lifts],
+        factor_labels=[i + 1 for i in lift_index],
         pairs=pairs,
         derived_basis=basis,
         comm_matrix=comm_matrix,
         kernel_basis=sorted(kernel),
-        _class_coord=coord,
+        gen_masks=[lift_span.solve(v) for v in classes],
     )
 
 

@@ -40,6 +40,12 @@ class LhsData:
     ideal_gens: List[F2Poly]      # d2 values
     ideal_closed: List[F2Poly]    # d2 values plus nonzero Sq1 images
 
+    def w_coordinates(self, g: int) -> int:
+        """The image of g in W = G/V over the images of w_gens: its exponent
+        bits at the generators outside V, since d2_table checked that those
+        map to a basis of W and the others lie in V."""
+        return sum(1 << k for k, w in enumerate(self.w_gens) if g & w)
+
     def poly(self, text: str) -> F2Poly:
         from .f2poly import parse_poly
 
@@ -258,15 +264,10 @@ def extension_class_rep(ext, base_data: Optional[LhsData] = None) -> TowerClassR
     alpha = ext.alpha
     base_lhs = base_data if base_data is not None else lhs_data_for(ext.quotient)
     variables = base_lhs.variables
-    frat_base = frattini_subgroup(base_lhs.group)
-    _w, wcoord = elementary_coordinates(
-        base_lhs.group.mult, frat_base.elements, base_lhs.w_gens
-    )
 
     def linear_form(elem_of_base: int) -> F2Poly:
-        mask = wcoord[elem_of_base]
         acc = F2Poly.zero(variables)
-        for k in iter_bits(mask):
+        for k in iter_bits(base_lhs.w_coordinates(elem_of_base)):
             acc = acc + F2Poly.var(variables, variables[k])
         return acc
 

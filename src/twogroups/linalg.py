@@ -80,20 +80,26 @@ def gf2_rank(rows: Sequence[int]) -> int:
     return Gf2Span(rows).rank
 
 
+def gf2_rref(rows: Sequence[int]) -> List[int]:
+    """Reduced row echelon form of the span of rows: one row per pivot (its
+    lowest set bit), in ascending pivot order, each pivot clear in every
+    other row."""
+    basis = Gf2Span(rows).basis()
+    for i, row in enumerate(basis):
+        pivot = row & -row
+        for j in range(len(basis)):
+            if j != i and basis[j] & pivot:
+                basis[j] ^= row
+    return basis
+
+
 def gf2_kernel(rows: Sequence[int], ncols: int) -> List[int]:
     """Basis of {x : for all rows r, parity(r & x) = 0}.
 
     Rows are vectors of length ncols; the kernel is the orthogonal
     complement of their span under the dot-product pairing.
     """
-    basis = Gf2Span(rows).basis()
-    # Row-reduce fully (RREF) so pivot columns are clean.
-    basis = sorted(basis, key=lambda r: r & -r)
-    for i, row in enumerate(basis):
-        pivot = row & -row
-        for j in range(len(basis)):
-            if j != i and basis[j] & pivot:
-                basis[j] ^= row
+    basis = gf2_rref(rows)
     pivots = [(row & -row).bit_length() - 1 for row in basis]
     pivot_set = set(pivots)
     kernel = []

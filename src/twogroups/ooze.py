@@ -16,10 +16,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .f2poly import F2Poly, sq1
-from .linalg import Gf2Span, elementary_coordinates, gf2_kernel, iter_bits, transpose_masks
+from .linalg import Gf2Span, gf2_kernel, gf2_rref, iter_bits, transpose_masks
 from .pcgroup import (
     Abelianization,
     PcError,
@@ -66,26 +66,34 @@ CONJ62_BOUND = 1 << 24
 
 @dataclass
 class DeltaMap:
-    """The surjection from the order-<=2 part of pi^ab onto H^1(Wh')."""
+    """The surjection from the order-<=2 part of pi^ab onto H^1(Wh').
+
+    In the coordinates of `Abelianization.omega_bits`, v_j is e_j.  The
+    span holds the vectors of C's generators, then each e_j new modulo
+    them; bit k of delta(g) is the k-th such e_j in the solution for g."""
 
     group: object
     wh: WhPrimeData
     ab: Abelianization
     h0_reps: List[int]       # representatives in G of the basis v_1..v_n of H^0
-    matrix: List[int]        # delta(v_j) in image coordinates, one mask per v_j
-    rank: int
-    kernel_basis: List[int]  # masks over the v-index space
-    sc_table: Dict[int, int] = field(default_factory=dict, repr=False)
+    span: Gf2Span = field(repr=False)
+    image_rows: List[int] = field(repr=False)  # insertion index of each new e_j
+    matrix: List[int] = field(init=False)        # delta(v_j) in image coordinates
+    rank: int = field(init=False)
+    kernel_basis: List[int] = field(init=False)  # masks over the v-index space
 
-    def coset_key(self, g: int) -> int:
-        return least_in_coset(self.group, self.wh.c_subgroup.elements, g)
+    def __post_init__(self) -> None:
+        self.matrix = [self.value(v) for v in self.h0_reps]
+        self.rank = Gf2Span(self.matrix).rank
+        self.kernel_basis = sorted(gf2_kernel(transpose_masks(self.matrix), len(self.matrix)))
 
     def value(self, g: int) -> int:
         """delta of an order-<=2 class given by a representative in S."""
-        key = self.coset_key(g)
-        if key not in self.sc_table:
+        bits = self.ab.omega_bits(g)
+        if bits is None:
             raise OozeError("element does not lie in S")
-        return self.sc_table[key]
+        combo = self.span.solve(bits)
+        return sum(1 << k for k, row in enumerate(self.image_rows) if combo >> row & 1)
 
     def as_dict(self) -> Dict:
         g = self.group
@@ -111,35 +119,20 @@ def delta_map(group, ab: Optional[Abelianization] = None,
         ab = abelianization(group)
     if wh is None:
         wh = h1_wh_prime(group)
-    c_elems = wh.c_subgroup.elements
     # least elements of the [G,G]-cosets of the order-two elements v_j
     reps = [
         least_in_coset(group, ab.derived.elements, group.power(g, m // 2))
         for m, g in zip(ab.invariants, ab.factor_gens)
     ]
-    keys = [least_in_coset(group, c_elems, v) for v in reps]
-    _basis, coord_table = elementary_coordinates(
-        lambda a, b: least_in_coset(group, c_elems, group.mult(a, b)),
-        [least_in_coset(group, c_elems, group.identity)],
-        keys,
-    )
-    matrix = [coord_table[k] for k in keys]
-    rank = Gf2Span(matrix).rank
-    if rank != wh.rank:
+    c_gens = wh.c_subgroup.gens
+    span = Gf2Span(ab.omega_bits(c) for c in c_gens)
+    image_rows = [len(c_gens) + j for j in range(len(reps)) if span.add(1 << j)]
+    dmap = DeltaMap(group=group, wh=wh, ab=ab, h0_reps=reps, span=span, image_rows=image_rows)
+    if dmap.rank != wh.rank:
         raise OozeError(
-            f"delta is not surjective: matrix rank {rank} != H^1 rank {wh.rank}"
+            f"delta is not surjective: matrix rank {dmap.rank} != H^1 rank {wh.rank}"
         )
-    kernel = gf2_kernel(transpose_masks(matrix), len(matrix))
-    return DeltaMap(
-        group=group,
-        wh=wh,
-        ab=ab,
-        h0_reps=reps,
-        matrix=matrix,
-        rank=rank,
-        kernel_basis=sorted(kernel),
-        sc_table=coord_table,
-    )
+    return dmap
 
 
 # -- adapted decompositions ---------------------------------------------------
@@ -185,28 +178,12 @@ def adapted_decomposition(group, dmap: Optional[DeltaMap] = None) -> AdaptedDeco
     gens = [ab.factor_gens[j] for j in desc]
     funcs = [[row[j] for row in ab.gen_coords] for j in desc]
 
-    cols = [dmap.value(group.power(g, m // 2)) for g, m in zip(gens, orders)]
-    # row reduce the matrix whose (i, j) entry is bit i of cols[j]
-    rows = transpose_masks(cols)
-    # RREF over GF(2)
-    pivots: List[Tuple[int, int]] = []  # (row index in reduced list, pivot col)
-    reduced: List[int] = []
-    for row in rows:
-        r = row
-        for rr, pc in zip(reduced, (p for _, p in pivots)):
-            if r >> pc & 1:
-                r ^= rr
-        if r:
-            pc = (r & -r).bit_length() - 1
-            for idx in range(len(reduced)):
-                if reduced[idx] >> pc & 1:
-                    reduced[idx] ^= r
-            reduced.append(r)
-            pivots.append((len(reduced) - 1, pc))
-    pivots_cols = sorted(pc for _, pc in pivots)
+    # row reduce the matrix whose (i, j) entry is bit i of delta(v_j)
+    reduced = gf2_rref(transpose_masks([dmap.matrix[j] for j in desc]))
+    first = [(row & -row).bit_length() - 1 for row in reduced]
     # clear non-pivot entries with column operations col_j += col_p (p < j)
-    for rr, pc in zip(reduced, (p for _, p in pivots)):
-        for j in iter_bits(rr):
+    for row, pc in zip(reduced, first):
+        for j in iter_bits(row):
             if j == pc:
                 continue
             # g_j := g_j * g_pc^r with r = m_pc / m_j, valid because pc < j in
@@ -218,7 +195,6 @@ def adapted_decomposition(group, dmap: Optional[DeltaMap] = None) -> AdaptedDeco
             gens[j] = group.mult(gens[j], group.power(gens[pc], r))
             funcs[pc] = [(a - r * b) % orders[pc] for a, b in zip(funcs[pc], funcs[j])]
     # reorder: pivot columns first, by their pivot row, then the rest
-    first = pivots_cols
     rest = [j for j in range(len(gens)) if j not in first]
     perm = first + rest
     orders = [orders[j] for j in perm]
@@ -319,7 +295,7 @@ def lambda4_detect(group: PcGroup) -> Lambda4Report:
             rep = group.identity
             for a in iter_bits(u):
                 rep = group.mult(rep, lhs.w_gens[a])
-            nonzero = rep not in wh.c_subgroup.elements
+            nonzero = dmap.value(rep) != 0
             ann_report.append(
                 {
                     "class": "+".join(f"[x{lhs.w_labels[a]}]" for a in iter_bits(u)),
@@ -373,7 +349,7 @@ def lambda4_detect(group: PcGroup) -> Lambda4Report:
             )
             continue
         v1 = dec.v_elems[i]
-        if v1 in wh.c_subgroup.elements:
+        if dmap.value(v1) == 0:
             raise OozeError("certificate factor has delta(v_1) = 0")
         cert = {
             "factor_index": i + 1,
@@ -542,8 +518,11 @@ def compatible_pair_check(
     # (vii) z vanishes on (commuting wedges) ∩ (ganea kernel)
     try:
         ws = wedge_space(group)
-        span = commuting_wedge_span(group, ws)
-        inter = _span_intersection(span.basis(), ws.kernel_basis)
+        # the commutator map kills the wedge of a commuting pair, so the
+        # commuting wedges already lie in its kernel
+        inter = commuting_wedge_span(group, ws).basis()
+        if not all(map(Gf2Span(ws.kernel_basis).contains, inter)):
+            raise PcError("a commuting wedge lies outside the commutator kernel")
         zbar = _wedge_functional(ws, z)
         bad = [m for m in inter if (zbar & m).bit_count() & 1]
         if not bad:
@@ -570,22 +549,6 @@ def compatible_pair_check(
     else:
         verdict = "inconclusive"
     return CompatiblePairReport(verdict=verdict, conditions=conditions)
-
-
-def _span_intersection(basis1: Sequence[int], basis2: Sequence[int]) -> List[int]:
-    """Basis of span(basis1) ∩ span(basis2); enumerates the smaller span."""
-    if len(basis1) > len(basis2):
-        basis1, basis2 = basis2, basis1
-    span2 = Gf2Span(basis2)
-    out = Gf2Span()
-    basis = []
-    vecs = [0]
-    for b in basis1:
-        vecs += [v ^ b for v in vecs]
-    for v in vecs:
-        if v and span2.contains(v) and out.add(v):
-            basis.append(v)
-    return basis
 
 
 def _wedge_functional(ws, z: F2Poly) -> int:

@@ -838,6 +838,15 @@ class Abelianization:
         # every d_j is a power of two
         return tuple(acc >> s & (d - 1) for s, d in zip(self._shifts, self.invariants))
 
+    def omega_bits(self, g: int) -> Optional[int]:
+        """The class of g in S/[G,G], S = {g : g^2 in [G,G]}, as a GF(2)
+        vector over the v_j = (factor generator j)^(d_j/2): bit j is
+        c_j/(d_j/2) for the coordinates c_j of g.  None when g is not in S."""
+        coords = self.coordinates(g)
+        if any(2 * c % d for c, d in zip(coords, self.invariants)):
+            return None
+        return sum(1 << j for j, c in enumerate(coords) if c)
+
     def certificate_failure(self) -> Optional[str]:
         group, d = self.group, self.invariants
         for i in range(group.n):

@@ -141,6 +141,42 @@ def test_compat(capsys):
     assert report["value"]["verdict"] == "compatible"
 
 
+COMPAT = ["compat", "SG128_1376", "--cover", "SG256_8129"]
+IMAGES = ["--images", "1 2 3 4 5 6 7 5"]
+QUADRATICS = ["--theta", "X1*X2+X1*X3", "--z", "X3*X4"]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--images", "1 2 3"], "--images needs 8 generator images, got 3"),
+        (["--images", "1 2 3 4 5 6 7 9"], "image index 9 out of range"),
+        (IMAGES + ["--sigma", "99"], "--sigma index 99 out of range 1..8"),
+        (IMAGES + ["--sigma", "0"], "--sigma index 0 out of range 1..8"),
+        (IMAGES + ["--theta", "X1"], "--theta must be homogeneous of degree 2"),
+        (IMAGES + ["--z", "X3"], "--z must be homogeneous of degree 2"),
+        ([], "--images needs 8 generator images, got 0"),
+    ],
+)
+def test_compat_usage_errors_exit_2(extra, message, capsys):
+    code, out, err = run_cli(COMPAT + QUADRATICS + extra, capsys)
+    assert code == 2, err
+    assert message in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--images", "1 2 3 4 5 6 7 1"], "map does not respect relation"),
+        (IMAGES + ["--sigma", "1"], "--sigma word does not generate the kernel"),
+    ],
+)
+def test_compat_mathematical_failures_exit_1(extra, message, capsys):
+    code, out, err = run_cli(COMPAT + QUADRATICS + extra, capsys)
+    assert code == 1, err
+    assert message in err
+
+
 def test_conj62(capsys):
     report = run_json(["conj62", "C8"], capsys)
     parities = sorted(s["parity"] for s in report["value"]["sequences"])

@@ -8,6 +8,7 @@ from twogroups.linalg import (
     Gf2Span,
     gf2_kernel,
     gf2_rank,
+    gf2_rref,
     smith_normal_form,
 )
 
@@ -113,6 +114,21 @@ def test_gf2_span_solve_and_reduce():
     assert span.reduce(0b101) == 0
     assert span.reduce(0b100) != 0
     assert gf2_rank([0b011, 0b110, 0b101]) == 2
+
+
+def test_gf2_rref():
+    rng = random.Random(7)
+    for _ in range(100):
+        rows = [rng.getrandbits(8) for _ in range(rng.randrange(0, 7))]
+        reduced = gf2_rref(rows)
+        pivots = [row & -row for row in reduced]
+        assert pivots == sorted(set(pivots)) and 0 not in pivots
+        for row in reduced:
+            assert all(row & p == (p if p == row & -row else 0) for p in pivots)
+        span = Gf2Span(rows)
+        assert len(reduced) == span.rank
+        assert all(span.contains(row) for row in reduced)
+    assert gf2_rref([0b110, 0b011, 0b101]) == [0b101, 0b110]
 
 
 def test_gf2_kernel_orthogonality():

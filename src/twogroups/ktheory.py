@@ -23,6 +23,7 @@ from .pcgroup import (
     ScaleError,
     Subgroup,
     _inverse_conjugator_fast,
+    abelianization,
     center_transversal,
     central_lift,
     central_quotient,
@@ -64,23 +65,27 @@ class WhPrimeData:
 def h1_wh_prime(group) -> WhPrimeData:
     """Rank r with H^1(Wh'(Z2^G)) isomorphic to (Z/2)^r.
 
-    S is read off by membership of g^2 in [G,G].  Witnesses: on class-<=2
-    pc groups the GF(2) solve of `_inverse_conjugator_fast` once per coset
-    g ^ [G,G] ([G,G] is central of exponent 2, so (gc)^2 = g^2 and [gc, x_i]
-    = [g, x_i]); otherwise one orbit walk per class, in element order: if
-    a_y^-1 r a_y = y for the class's first element r, then h = a_y^-1 a_{y^-1}
-    conjugates y to y^-1.
+    S is read off the Smith coordinates of `abelianization` with no
+    squaring (`Abelianization.s_elements`: g is in S exactly when every
+    coordinate c_j = 0 mod d_j/2), on both collectors; [G,G] is the
+    abelianization's own.  Witnesses: on class-<=2 pc groups the GF(2)
+    solve of `_inverse_conjugator_fast` once per coset g ^ [G,G] ([G,G] is
+    central of exponent 2, so (gc)^2 = g^2 and [gc, x_i] = [g, x_i]);
+    otherwise one `conjugacy_orbit` per class, under the d(G) Frattini
+    generators, in element order: if a_y^-1 r a_y = y for the class's first
+    element r, then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
     C contains [G,G], so it is normal, and every g in S has g^2 in [G,G]:
     each newly witnessed g doubles C to C u Cg, which is how
     `elementary_coordinates` builds it on top of [G,G].
     """
     check_element_walk(group, "h1_wh_prime")
-    der = derived_subgroup(group)
+    ab = abelianization(group)
+    der = ab.derived
     fast = isinstance(group, PcGroup) and group.is_fast
     if fast:
         der_span = Gf2Span(der.gens)
         solved: Dict[int, Optional[int]] = {}
-    s_elems = [g for g in group.elements() if group.square(g) in der.elements]
+    s_elems = ab.s_elements()
     witnesses: List[Tuple[int, int]] = []
     orbit_of: Dict[int, Dict[int, int]] = {}
     for g in s_elems:
@@ -110,11 +115,13 @@ def h1_wh_prime(group) -> WhPrimeData:
 
 # sk1 walks every element for its class and centralizer generators, and
 # multiplies each (representative, generator) pair both ways in the cover.
-# A class of size c has at most c n Schreier generators, so |G| n bounds the
-# pair count before anything is built.  In-process on one 2-vCPU core:
-# G16384 (2^14 x 14 = 229,376 allowed, 56,000 actual pairs, a 42-generator
-# cover) 2.8 s at 54 MB; the class-3 cover of SG256_8129 (2^14, generic
-# collector) 4.4 s at 94 MB.
+# A generic class of size c has at most c d(G) <= c n Schreier generators,
+# and a fast-path kernel basis at most n, so |G| n bounds the pair count
+# before anything is built.  On one 2-vCPU core: G16384 (2^14 x 14 =
+# 229,376 allowed, 48,800 actual pairs, a 42-generator cover) 1.4-1.7 s at
+# a 41 MB peak through the CLI; the class-3 cover of SG256_8129 (2^14,
+# generic collector) 2.0-2.8 s at a 66 MB peak in-process, its own cover
+# presentation included.
 SK1_PAIR_BOUND = 1 << 18
 
 

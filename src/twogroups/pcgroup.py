@@ -390,10 +390,35 @@ class Element:
         return self.group.element_str(self.bits)
 
 
+def frattini_generators(group) -> List[int]:
+    """The pc generators x_i whose bit i is not a pivot of R, the GF(2) span
+    of the bit vectors of every relation value, echeloned by lowest set bit:
+    d(G) elements that generate G, read off the presentation alone.
+
+    Collection rewrites by relations only, and each rewrite changes the
+    exponent vector mod 2 by the bits of a relation value, so "bits modulo
+    R" is a homomorphism onto (Z/2)^(n - rank R) whose kernel holds every
+    square and commutator: it is G -> G/Phi(G), and d(G) = n - rank R =
+    len(abelian_invariants(G)).  A pivot's vector expresses x_p modulo
+    Phi(G) through later generators, so the non-pivot x_i span G/Phi(G)
+    and generate G by the Burnside basis theorem (Holt, Eick and O'Brien,
+    Handbook of CGT, ch. 8)."""
+    pivots: Dict[int, int] = {}  # lowest set bit -> echelon vector
+    for w in group.powers + tuple(c for row in group.comms for c in row):
+        while w:
+            low = w & -w
+            if low not in pivots:
+                pivots[low] = w
+                break
+            w ^= pivots[low]
+    return [1 << i for i in range(group.n) if 1 << i not in pivots]
+
+
 # ---------------------------------------------------------------------------
 # Generic finite-group layer: subgroups, conjugacy, homomorphisms.  These
 # take any group with the operations of PcGroup (identity, elements,
-# generators, mult, inv, square, conj, comm, lexkey) on int elements.
+# generators, mult, inv, square, conj, comm, lexkey) on int elements, and
+# its presentation (n, powers, comms) for `frattini_generators`.
 # ---------------------------------------------------------------------------
 
 
@@ -409,12 +434,12 @@ class Subgroup:
 
     @property
     def is_central(self) -> bool:
+        """Every kept generator commutes with a generating set of G."""
         if self._is_central is None:
             g = self.group
+            gens = frattini_generators(g)
             self._is_central = all(
-                g.comm(h, x) == g.identity
-                for h in self.gens
-                for x in g.generators
+                g.comm(h, x) == g.identity for h in self.gens for x in gens
             )
         return self._is_central
 
@@ -518,10 +543,13 @@ def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
     of whose bits lie in S; F(z, .) = 0, so p z = p ^ z = h, and z is a
     product of the e_j in the basis.
 
-    Generic path: one `conjugacy_orbit` per class.  For the centralizer it
-    records the walk's steps (y, x, y^x), and the distinct non-identity
-    Schreier generators t_y x t_{y^x}^-1 generate C_G(g) (Holt, Eick and
-    O'Brien, Handbook of CGT, 4.1); the classes alone skip those products."""
+    Generic path: one `conjugacy_orbit` per class, under the d(G) elements
+    of `frattini_generators`.  For the centralizer it records the walk's
+    steps (y, x, y^x), and the distinct non-identity Schreier generators
+    t_y x t_{y^x}^-1 generate C_G(g) (Schreier's lemma needs only some
+    generating set of G: Holt, Eick and O'Brien, Handbook of CGT, 4.1), so
+    a class of size c gives at most c d(G) of them; the classes alone skip
+    those products."""
     if isinstance(group, PcGroup) and group.is_fast:
         center = center_span(group)
         per_coset: Dict[int, Tuple[List[int], Optional[List[int]]]] = {}
@@ -562,15 +590,17 @@ def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
 
 def conjugacy_orbit(group, g: int, *, _steps: Optional[list] = None) -> Dict[int, int]:
     """The class of g as {y: t} with t^-1 g t = y: a breadth-first orbit walk
-    under conjugation by the generators that records one transporter per
-    element (Holt, Eick and O'Brien, Handbook of CGT, 4.1).  The class walk
-    passes a list as `_steps` to receive every step (y, x, y^x)."""
+    under conjugation by the d(G) elements of `frattini_generators`, which
+    generate G, so the orbit is the whole class; it records one transporter
+    per element (Holt, Eick and O'Brien, Handbook of CGT, 4.1).  The class
+    walk passes a list as `_steps` to receive every step (y, x, y^x)."""
+    gens = frattini_generators(group)
     orbit = {g: group.identity}
     frontier = [g]
     while frontier:
         nxt = []
         for h in frontier:
-            for x in group.generators:
+            for x in gens:
                 y = group.conj(h, x)
                 if _steps is not None:
                     _steps.append((h, x, y))
@@ -593,16 +623,17 @@ def center_span(group: PcGroup) -> Gf2Span:
 def center_transversal(group) -> List[int]:
     """The least element of each coset of Z(G), ascending.
 
-    [g, x_i] = [g', x_i] for every generator x_i exactly when g'g^-1 is
-    central, so the generic walk keeps the first element of each value of
-    that key.  Fast path: Z(G) is a GF(2) subspace of the bit vectors and
-    g Z(G) = g ^ Z(G).  Take an echelon basis of Z(G) keyed by highest set
-    bit: each coset has one element that is 0 at every pivot bit, and it is
-    the least, since adding a nonzero central element sets the highest
-    pivot among its terms and no higher bit.  The transversal is every
-    element on the other bits."""
+    [g, x] = [g', x] for every x in a generating set exactly when g'g^-1 is
+    central, so the generic walk keys g by its commutators with
+    `frattini_generators` and keeps the first element of each key.  Fast
+    path: Z(G) is a GF(2) subspace of the bit vectors and g Z(G) = g ^ Z(G).
+    Take an echelon basis of Z(G) keyed by highest set bit: each coset has
+    one element that is 0 at every pivot bit, and it is the least, since
+    adding a nonzero central element sets the highest pivot among its terms
+    and no higher bit.  The transversal is every element on the other
+    bits."""
     if not (isinstance(group, PcGroup) and group.is_fast):
-        gens = group.generators
+        gens = frattini_generators(group)
         keys: Dict[Tuple[int, ...], int] = {}
         for g in group.elements():
             keys.setdefault(tuple(group.comm(g, x) for x in gens), g)
@@ -655,11 +686,12 @@ class StandardSubgroups:
 
 def standard_subgroups(group) -> StandardSubgroups:
     """Center, derived subgroup, and their intersection.  On the fast path
-    the center is the span of the kernel basis of `center_span`."""
+    the center is the span of the kernel basis of `center_span`; otherwise
+    it is every element that commutes with `frattini_generators`."""
     if isinstance(group, PcGroup) and group.is_fast:
         center_elems = frozenset(_span_elements(center_span(group).basis()))
     else:
-        gens = group.generators
+        gens = frattini_generators(group)
         center_elems = frozenset(
             g for g in group.elements()
             if all(group.comm(g, x) == group.identity for x in gens)
@@ -846,6 +878,29 @@ class Abelianization:
         if any(2 * c % d for c, d in zip(coords, self.invariants)):
             return None
         return sum(1 << j for j, c in enumerate(coords) if c)
+
+    def s_elements(self) -> List[int]:
+        """S = {g : g^2 in [G,G]}, ascending, with no squaring: g^2 has the
+        coordinates 2 c_j, so g is in S exactly when every c_j = 0 mod
+        d_j/2, i.e. when the low log2(d_j) - 1 bits of every field of the
+        packed sum are 0 (sums are not reduced mod d_j, but each d_j is a
+        power of two).  g = hi << h | lo with h = ceil(n/2), and the packed
+        sum of g is that of hi plus that of lo, each read from a table of at
+        most 2^h subset sums of the packed rows."""
+        mask = sum(d // 2 - 1 << s for d, s in zip(self.invariants, self._shifts))
+        h = (self.group.n + 1) // 2
+        halves = []
+        for rows in (self._packed[:h], self._packed[h:]):
+            sums = [0]
+            for row in rows:
+                sums += [x + row for x in sums]
+            halves.append(sums)
+        lo_sums, hi_sums = halves
+        out: List[int] = []
+        for hi, hs in enumerate(hi_sums):
+            base = hi << h
+            out += [base | lo for lo, ls in enumerate(lo_sums) if not hs + ls & mask]
+        return out
 
     def certificate_failure(self) -> Optional[str]:
         group, d = self.group, self.invariants

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Dict, List, Optional
@@ -27,7 +28,7 @@ from .catalog import (
     shipped_catalog,
 )
 from .f2poly import F2Poly, PolyError, parse_poly
-from .homology import ScaleError, schur_cover
+from .homology import ScaleError, cover_presentation
 from .ktheory import (
     central_extension_from_hom,
     h1_wh_prime,
@@ -144,12 +145,13 @@ def cmd_sk1(args, groups) -> int:
 
 def cmd_cover(args, groups) -> int:
     g = _resolve(groups, args.group)
-    cover = schur_cover(g)
+    pres = cover_presentation(g)
+    h2_order = math.prod(pres.h2_invariants)  # the kernel, all of it stem
     value = {
-        "cover_order": cover.cover.order,
-        "kernel_order": cover.kernel.order,
-        "stem_order": cover.stem_part.order,
-        "h2_invariants": list(cover.h2_invariants),
+        "cover_order": pres.cover.order,
+        "kernel_order": h2_order,
+        "stem_order": h2_order,
+        "h2_invariants": list(pres.h2_invariants),
     }
     _emit(args, g, "schur_cover", value)
     return 0

@@ -29,21 +29,21 @@ from .pcgroup import (
     PcGroup,
     ScaleError,
     Subgroup,
-    TailCollector,
     abelian_invariants,
     abelianization,
     class_centralizers,
     subgroup,
     subquotient_invariants,
+    tails_rows,
     trivial_subgroup,
 )
 
 # cover_presentation: the tails matrix has about n^3/6 rows and n(n+1)/2
 # columns, and the cover's consistency check and its abelianized Smith form
 # grow with its generator count n + log2 |H_2(G)|; each is checked before
-# the work it sizes.  In-process on one 2-vCPU core: tails and Smith form
-# of R(14,6) seed 1 (n = 20, 1,284 x 210) 3.1 s, of R(16,8) seed 1 (n = 24)
-# 11 s; the 42-generator cover of G16384 0.3 s in all.
+# the work it sizes.  In-process on one 2-vCPU core (tails rows; with the
+# Smith form): R(14,6) seed 1 (n = 20, 1,284 x 210) 0.13-0.20 s, 1.4-1.9 s;
+# R(16,8) seed 1 (n = 24, 2,077 x 300) 0.45 s, 5.1 s; G16384 0.01 s, 0.1 s.
 TAILS_GENS_BOUND = 20
 COVER_GENS_BOUND = 48
 # schur_cover lists the cover and closes its kernel element by element: at
@@ -63,9 +63,10 @@ class CoverPresentation:
     are zero, and the bits of chain j, read as a binary number, are the
     coordinate of a kernel element in Z/d_j.
 
-    Certificate (`certificate_failure`): |SC^ab| = |G^ab|.  K is central
-    with SC/K = G, so |SC^ab| = |G^ab| |K| / |K & [SC,SC]|, and the
-    equality holds exactly when K lies in [SC,SC]: the cover is stem.
+    Certificate (`certificate_failure`): each chain's first generator
+    commutes with x_1..x_n, so K is central with SC/K = G; then |SC^ab| =
+    |G^ab| |K| / |K & [SC,SC]|, and |SC^ab| = |G^ab| holds exactly when K
+    lies in [SC,SC]: the cover is stem.
     """
 
     group: PcGroup
@@ -95,6 +96,10 @@ class CoverPresentation:
         return tuple((a - b) % d for a, b, d in zip(k, k_prime, self.h2_invariants))
 
     def certificate_failure(self) -> Optional[str]:
+        sc, n = self.cover, self.group.n
+        for c in (chain[0] for chain in self.chains):
+            if any(sc.comm(1 << c, 1 << i) for i in range(n)):
+                return f"chain generator x{c + 1} is not central"
         ab_cover = math.prod(abelian_invariants(self.cover))
         ab_group = math.prod(abelian_invariants(self.group))
         if ab_cover != ab_group:
@@ -124,11 +129,8 @@ def cover_presentation(group: PcGroup) -> CoverPresentation:
         raise ScaleError(
             f"cover_presentation bound is n <= {TAILS_GENS_BOUND} pc generators, got {n}"
         )
-    tc = TailCollector(group)
-    rows = tc.consistency_rows()
-    m = tc.m
-    if not rows:
-        rows = [[0] * m]
+    m = n * (n + 1) // 2  # one tail per relation
+    rows = tails_rows(group) or [[0] * m]
     # the exponent of H_2 divides |G| (Schur), so mod 2|G| a zero is free
     diag, v, _vinv = smith_normal_form(rows, 2 * group.order)
     free = [j for j in range(m) if diag[j] == 0]
@@ -158,10 +160,11 @@ def cover_presentation(group: PcGroup) -> CoverPresentation:
     )
     powers = [0] * n_sc
     comms = [[0] * n_sc for _ in range(n_sc)]
+    pair_images = iter(tail_images[n:])
     for i in range(n):
         powers[i] = group.powers[i] | tail_images[i]
         for j in range(i + 1, n):
-            comms[i][j] = group.comms[i][j] | tail_images[tc.pair_index[(i, j)]]
+            comms[i][j] = group.comms[i][j] | next(pair_images)
     for chain in chains:
         for p, q in zip(chain, chain[1:]):
             powers[p] = 1 << q

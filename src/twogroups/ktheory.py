@@ -106,8 +106,9 @@ def h1_wh_prime(group) -> WhPrimeData:
         if h is not None:
             witnesses.append((g, h))
     basis, table = elementary_coordinates(group.mult, der.elements, (g for g, _ in witnesses))
-    s_set = frozenset(s_elems)
-    s_sub = Subgroup(group, sorted(s_set, key=group.lexkey), s_set)
+    # S/[G,G] = Omega_1(G^ab), generated by the (factor generator j)^(d_j/2)
+    omega = [group.power(g, d // 2) for g, d in zip(ab.factor_gens, ab.invariants)]
+    s_sub = Subgroup(group, der.gens + tuple(omega), frozenset(s_elems))
     c_sub = Subgroup(group, der.gens + tuple(basis), frozenset(table))
     rank = (s_sub.order // c_sub.order).bit_length() - 1
     return WhPrimeData(group, s_sub, c_sub, rank, witnesses)

@@ -11,7 +11,9 @@ i > j, let F(b, a) = sum of r(j, i) over j in b, i in a, i >= j, over GF(2).
 Then a b = a ^ b ^ F(b, a), a^2 = F(a, a), a^-1 = a ^ F(a, a) and
 [a, b] = F(a, b) ^ F(b, a).  F is bilinear, so it is tabulated once by
 chunks of at most CHUNK_BITS bits (`PcGroup._tabulate`); every other group
-uses the generic collector.
+uses the generic collector, which also collects in the tails extension of
+G behind the Schur cover (`tails_rows`): its free central tails ride in the
+same int, above the n bits of the normal form, as packed signed integers.
 
 Groups are immutable after construction; every operation is a pure function
 of its inputs (caches are internal memo tables only).
@@ -20,6 +22,7 @@ of its inputs (caches are internal memo tables only).
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -213,7 +216,7 @@ class PcGroup:
         else:
             lower |= 1 << t
             tail = cc
-        res = lower | tail
+        res = lower + tail
         self._mult_gen_cache[key] = res
         return res
 
@@ -224,7 +227,7 @@ class PcGroup:
         if hit is not None:
             return hit
         w = self.comms[t][j]
-        res = (1 << j) | self.inv(w) if w else (1 << j)
+        res = (1 << j) + self.inv(w) if w else (1 << j)
         self._conj_gen_cache[key] = res
         return res
 
@@ -1007,129 +1010,69 @@ def subquotient_invariants(group, top: Subgroup, bottom: Subgroup) -> Tuple[int,
     return tuple(invariants)
 
 
-# -- tails collector ---------------------------------------------------------
+# -- tails extension ---------------------------------------------------------
+
+# Bits of one packed tail.  Tails are only added and subtracted, so packing
+# is exact, and a tail c_r decodes exactly while |c_r| < 2^63: it counts
+# signed rewritings by its relation, and no collection nears 2^63 steps.
+TAIL_BITS = 64
 
 
-class TailCollector:
-    """Collection in the extension of G by one formal central tail per relation.
+class _TailedGroup(PcGroup):
+    """G extended by one free central tail per relation (Holt, Eick and
+    O'Brien, Handbook of CGT, ch. 9): x_r^2 = w_r gains tail r < n, and the
+    [x_i, x_j] = w_ij, i < j ascending, the tails from n on.  An element is
+    its normal form plus T << n, T = sum c_r << (TAIL_BITS r), so it may be
+    negative.  Each override splits the central tails off, runs the plain
+    step on the bits and adds them back (`inv` negates them), so the memo
+    tables stay keyed by bits."""
 
-    Tail r_i (i < n) belongs to the power relation x_i^2 = w_i, and tail
-    n + idx(i,j) to [x_i, x_j] = w_ij.  Elements are (bits, tails) with
-    tails a tuple of integer exponents; rewriting by a relation adds +-1 to
-    the matching tail.  Used for integral consistency rows (Schur covers).
-    """
+    def __init__(self, group: PcGroup) -> None:
+        super().__init__(group.name, group.n, group.powers, group.comms, validate=False)
+        self._fast, self._low, n = False, group.order - 1, group.n
+        units = [1 << (n + TAIL_BITS * r) for r in range(n * (n + 1) // 2)]
+        self.powers = tuple(p + u for p, u in zip(group.powers, units))
+        pair_units = iter(units[n:])
+        self.comms = tuple(
+            tuple(c + next(pair_units) if j > i else c for j, c in enumerate(row))
+            for i, row in enumerate(group.comms)
+        )
 
-    def __init__(self, group: PcGroup):
-        self.g = group
-        n = group.n
-        self.n = n
-        pair_index = {}
-        idx = n
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair_index[(i, j)] = idx
-                idx += 1
-        self.m = idx
-        self.pair_index = pair_index
-        self._zero = (0,) * self.m
-        self._inv_cache: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-        self._conj_cache: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
+    def _mult_gen(self, u: int, t: int) -> int:
+        lo = u & self._low
+        return PcGroup._mult_gen(self, lo, t) + (u - lo)
 
-    def _tadd(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(x + y for x, y in zip(a, b))
+    def _mult(self, a: int, b: int) -> int:
+        lo = b & self._low
+        return PcGroup._mult(self, a, lo) + (b - lo)
 
-    def _bump(self, t: Tuple[int, ...], idx: int, delta: int) -> Tuple[int, ...]:
-        lst = list(t)
-        lst[idx] += delta
-        return tuple(lst)
+    def inv(self, a: int) -> int:
+        lo = a & self._low
+        return PcGroup.inv(self, lo) - (a - lo)
 
-    def mult(self, a, b):
-        bits_a, tail = a
-        bits_b, tail_b = b
-        tail = self._tadd(tail, tail_b)
-        for j in iter_bits(bits_b):
-            bits_a, tail = self._mult_gen(bits_a, tail, j)
-        return bits_a, tail
 
-    def _mult_gen(self, u: int, tail: Tuple[int, ...], t: int):
-        upper = u & self.g._mask_above[t]
-        lower = u ^ upper
-        cc, dt = self._conj_elem(upper, t)
-        tail = self._tadd(tail, dt)
-        if lower >> t & 1:
-            lower ^= 1 << t
-            tail = self._bump(tail, t, +1)
-            rest, dt2 = self.mult((self.g.powers[t], self._zero), (cc, self._zero))
-            tail = self._tadd(tail, dt2)
-        else:
-            lower |= 1 << t
-            rest = cc
-        return lower | rest, tail
-
-    def _conj_elem(self, c: int, t: int):
-        res = (0, self._zero)
-        for j in iter_bits(c):
-            res = self.mult(res, self._conj_gen(j, t))
-        return res
-
-    def _conj_gen(self, j: int, t: int):
-        key = (j, t)
-        hit = self._conj_cache.get(key)
-        if hit is not None:
-            return hit
-        w = self.g.comms[t][j]
-        iw, dt = self.inv((w, self._zero))
-        dt = self._bump(dt, self.pair_index[(t, j)], -1)
-        bits = (1 << j) | iw
-        out = (bits, dt)
-        self._conj_cache[key] = out
-        return out
-
-    def inv(self, a):
-        bits, tail = a
-        ib, dt = self._inv_bits(bits)
-        return ib, self._tadd(dt, tuple(-x for x in tail))
-
-    def _inv_bits(self, bits: int):
-        if bits == 0:
-            return 0, self._zero
-        hit = self._inv_cache.get(bits)
-        if hit is not None:
-            return hit
-        low = bits & -bits
-        j = low.bit_length() - 1
-        h = bits ^ low
-        ih, t1 = self._inv_bits(h)
-        a, t2 = self._mult_gen(ih, t1, j)
-        t2 = self._bump(t2, j, -1)
-        ipw, t3 = self._inv_bits(self.g.powers[j])
-        res, t4 = self.mult((a, t2), (ipw, t3))
-        out = (res, t4)
-        self._inv_cache[bits] = out
-        return out
-
-    def gen(self, i: int):
-        return (1 << i, self._zero)
-
-    def consistency_rows(self) -> List[List[int]]:
-        """Integral relations among the tails from the overlap checks."""
-        rows = []
-        gens = [self.gen(i) for i in range(self.n)]
-
-        def check(a, b, c):
-            lb, lt = self.mult(self.mult(a, b), c)
-            rb, rt = self.mult(a, self.mult(b, c))
-            if lb != rb:
+def tails_rows(group: PcGroup) -> List[List[int]]:
+    """Integral relations among the tails of G, one entry per relation: the
+    nonzero tail differences of the overlaps x_k x_j x_i, k >= j >= i, of
+    `consistency_failures`, collected both ways in the tails extension, for
+    ascending k."""
+    ext, n = _TailedGroup(group), group.n
+    m, mult, sign = n * (n + 1) // 2, ext.mult, 1 << (TAIL_BITS - 1)
+    bias = sum(sign << (TAIL_BITS * r) for r in range(m))  # each field + 2^63
+    rows = []
+    for k in range(n):
+        triples = [(k, k, k)]
+        for j in range(k):
+            triples += [(k, k, j), (k, j, j)] + [(k, j, i) for i in range(j)]
+        for a, b, c in triples:
+            a, b, c = 1 << a, 1 << b, 1 << c
+            diff = mult(mult(a, b), c) - mult(a, mult(b, c))
+            if diff & ext._low:
                 raise PcError("x-part mismatch in tails collection (inconsistent input)")
-            row = [x - y for x, y in zip(lt, rt)]
-            if any(row):
-                rows.append(row)
-
-        for k in range(self.n):
-            check(gens[k], gens[k], gens[k])
-            for j in range(k):
-                check(gens[k], gens[k], gens[j])
-                check(gens[k], gens[j], gens[j])
-                for i in range(j):
-                    check(gens[k], gens[j], gens[i])
-        return rows
+            if diff:
+                try:
+                    packed = (bias + (diff >> n)).to_bytes(m * TAIL_BITS // 8, "little")
+                except OverflowError:
+                    raise PcError("a tail overflows its packed field") from None
+                rows.append([f - sign for f in struct.unpack(f"<{m}Q", packed)])
+    return rows

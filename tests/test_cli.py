@@ -89,11 +89,13 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
-def test_precondition_failure_is_exit_1(capsys):
-    # schur cover scale bound: |G| = 2^14 > 2^10
-    code, out, err = run_cli(["cover", "G16384"], capsys)
+def test_precondition_failure_is_exit_1(tmp_path, capsys):
+    # cover presentation scale bound: n = 21 > 20 pc generators
+    path = tmp_path / "c2x21.cat"
+    path.write_text("group C2x21\nngens 21\nend\n")
+    code, out, err = run_cli(["cover", "C2x21", "--catalog", str(path)], capsys)
     assert code == 1
-    assert "2^10" in err
+    assert "bound is n <= 20 pc generators, got 21" in err
 
 
 def test_info_text_mode(capsys):
@@ -238,19 +240,19 @@ def test_cover_finishes_on_growth_seeds(tmp_path):
 
 
 def test_cover_refuses_large_multiplier_at_once(tmp_path):
-    # C2^7 has |H_2| = 2^21 (its cover took minutes in-process): refused
-    # before the kernel is closed; a child process, so that a closure that
-    # does start fails here by the timeout instead of stalling
-    path = tmp_path / "c2x7.cat"
-    path.write_text("group C2x7\nngens 7\nend\n")
+    # C2^10 has |H_2| = 2^45, a cover of 10 + 45 > 48 generators: refused
+    # before the cover is built; a child process, so that a build that does
+    # start fails here by the timeout instead of stalling
+    path = tmp_path / "c2x10.cat"
+    path.write_text("group C2x10\nngens 10\nend\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
     proc = subprocess.run(
-        [sys.executable, "-m", "twogroups.cli", "cover", "C2x7", "--catalog", str(path)],
+        [sys.executable, "-m", "twogroups.cli", "cover", "C2x10", "--catalog", str(path)],
         env=env, capture_output=True, text=True, timeout=5,
     )
     assert proc.returncode == 1
-    assert "bound is |H_2(G)| <= 2^15, got 2^21" in proc.stderr
+    assert "bound is n + log2 |H_2(G)| <= 48 cover generators, got 55" in proc.stderr
 
 
 def test_custom_catalog(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from conftest import RKM, RKM_LARGER, GenericView, rkm
 from twogroups.catalog import fingerprint
 from twogroups.homology import schur_cover
-from twogroups import ktheory
+from twogroups import homology, ktheory
 from twogroups.ktheory import (
     central_extension,
     central_extension_from_hom,
@@ -21,7 +21,6 @@ from twogroups.ktheory import (
 from twogroups.linalg import iter_bits, smith_normal_form
 from twogroups.pcgroup import (
     PcGroup,
-    TailCollector,
     _inverse_conjugator_fast,
     center_transversal,
     derived_subgroup,
@@ -29,6 +28,7 @@ from twogroups.pcgroup import (
     is_central_quotient,
     standard_subgroups,
     subgroup,
+    tails_rows,
 )
 
 
@@ -89,6 +89,7 @@ def test_h1_wh_prime_matches_brute_force(small_family):
         c = subgroup(g, list(der.elements) + sorted(inverted))
         data = h1_wh_prime(g)
         assert data.s_subgroup.elements == s_elems, g.name
+        assert subgroup(g, data.s_subgroup.gens).elements == s_elems, g.name
         assert data.c_subgroup.elements == c.elements, g.name
         assert data.s_subgroup.order == c.order << data.rank, g.name
         assert {a for a, _ in data.witnesses} == inverted - der.elements, g.name
@@ -253,8 +254,7 @@ def test_sk1_invariant_under_tail_permutation(cat, monkeypatch):
     # which is permutation invariant
     rng = random.Random(12)
     g = cat["SG128_1377"]
-    tc = TailCollector(g)
-    rows = tc.consistency_rows()
+    rows = tails_rows(g)
     diag, _, _ = smith_normal_form(rows, 2 * g.order)
     torsion = sorted(d for d in diag if d not in (0, 1))
     shuffled = [list(r) for r in rows]
@@ -263,18 +263,23 @@ def test_sk1_invariant_under_tail_permutation(cat, monkeypatch):
     assert sorted(d for d in diag2 if d not in (0, 1)) == torsion
     # regenerate the cover with the consistency relations in shuffled order;
     # the cover presentation changes but SK1 must not
-    base = sk1(g).invariants
-    original = TailCollector.consistency_rows
+    plain = sk1(g)
+    calls = []
 
-    def shuffled_rows(self):
-        out = original(self)
+    def shuffled_rows(group):
+        calls.append(group)
+        out = tails_rows(group)
         random.Random(99).shuffle(out)
         return out
 
-    monkeypatch.setattr(TailCollector, "consistency_rows", shuffled_rows)
-    regenerated = sk1(g, schur_cover(g))
-    assert regenerated.invariants == base
+    monkeypatch.setattr(homology, "tails_rows", shuffled_rows)
+    cover = schur_cover(g)
+    assert calls == [g]
+    assert cover.cover.comms != plain.cover.cover.comms
+    regenerated = sk1(g, cover)
+    assert regenerated.invariants == plain.invariants
     assert regenerated.cover.h2_invariants == schur_cover(g).h2_invariants
+    assert len(calls) == 2
 
 
 def test_hom_based_extension(cat):

@@ -117,6 +117,14 @@ def test_stem_certificate_rejects_non_stem(cat):
         assert 1 << chain[0] not in der, name
 
 
+def test_certificate_rejects_non_central_chain(cat):
+    # a chain must be central: pointing one at x1, which fails to commute
+    # with x2 in the cover of D8, is refused before the stem check
+    pres = cover_presentation(cat["D8"])
+    bad = replace(pres, chains=((0,),) + pres.chains[1:])
+    assert bad.certificate_failure() == "chain generator x1 is not central"
+
+
 def test_wedge_is_the_cover_commutator(cat):
     # k - k' against the collector's [g~, h~]; the Z/4 and Z/8 factors of
     # H_2 (C4xC4, C2xC4xC8, R(4,6) seed 1, G16384) tell the signs apart

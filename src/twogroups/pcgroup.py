@@ -15,6 +15,14 @@ uses the generic collector, which also collects in the tails extension of
 G behind the Schur cover (`tails_rows`): its free central tails ride in the
 same int, above the n bits of the normal form, as packed signed integers.
 
+A generic group's trailing generators x_{s+1}, ..., x_n that commute with
+every generator and square to 1 span a central elementary abelian
+subgroup K (the tail of a Schur cover, say).  With a = a_t a_k, a_t the
+bits below s and a_k the bits of K, a b = (a_t b_t) (a_k b_k), so a
+product is one lookup T[a_t, b_t] XOR the bits of K in a ^ b, and
+a^-1 = a_t^-1 ^ a_k.  When s <= CHUNK_BITS, T is one flat table of 2^(2s)
+words, each filled on first use by the collector (`PcGroup._tabulate_top`).
+
 Groups are immutable after construction; every operation is a pure function
 of its inputs (caches are internal memo tables only).
 """
@@ -113,8 +121,11 @@ class PcGroup:
         self._conj_gen_cache: Dict[Tuple[int, int], int] = {}
         self._mult_gen_cache: Dict[Tuple[int, int], int] = {}
         self._fast = self._detect_fast_path()
+        self._top: Optional[array] = None
         if self._fast:
             self._tabulate()
+        else:
+            self._tabulate_top()
         if validate:
             bad = self.consistency_failures(stop_early=True)
             if bad:
@@ -200,6 +211,25 @@ class PcGroup:
             acc ^= table[(b >> b_shift & m) << w | a >> a_shift & m]
         return acc
 
+    def _tabulate_top(self) -> None:
+        """An empty product table over the central elementary tail K.
+
+        K = <x_{s+1}, ..., x_n> for the least s at which every later
+        generator commutes with every generator and has power 0.  If
+        s <= CHUNK_BITS, `_top` gets 2^(2s) entries of -1, and entry
+        a_t << s | b_t is replaced by the collector's a_t b_t on first use
+        (`mult`): filling whole rows is slower, since the class walks
+        touch many rows but few entries in each.  The entries are 64-bit
+        words, so groups on more than 63 generators keep the collector."""
+        n, s = self.n, self.n
+        while s and not self.powers[s - 1] and not any(self.comms[s - 1]) and not any(
+            row[s - 1] for row in self.comms
+        ):
+            s -= 1
+        if s <= CHUNK_BITS and n < 64:
+            self._top_bits, self._top_mask = s, (1 << s) - 1
+            self._top = array("q", [-1]) * (1 << 2 * s)
+
     # -- generic collector ---------------------------------------------------
 
     def _mult_gen(self, u: int, t: int) -> int:
@@ -242,31 +272,46 @@ class PcGroup:
             a = self._mult_gen(a, j)
         return a
 
-    # -- public group operations ----------------------------------------------
-
-    def mult(self, a: int, b: int) -> int:
-        if self._fast:
-            return a ^ b ^ self._form(b, a)
-        return self._mult(a, b)
-
-    def square(self, a: int) -> int:
-        if self._fast:
-            return self._form(a, a)
-        return self._mult(a, a)
-
-    def inv(self, a: int) -> int:
-        if self._fast:
-            return a ^ self._form(a, a)
+    def _inv(self, a: int) -> int:
         hit = self._inv_cache.get(a)
         if hit is not None:
             return hit
         low = a & -a
         j = low.bit_length() - 1
         h = a ^ low
-        res = self._mult_gen(self.inv(h), j)
-        res = self._mult(res, self.inv(self.powers[j]))
+        res = self._mult_gen(self._inv(h), j)
+        res = self._mult(res, self._inv(self.powers[j]))
         self._inv_cache[a] = res
         return res
+
+    # -- public group operations ----------------------------------------------
+
+    def mult(self, a: int, b: int) -> int:
+        if self._fast:
+            return a ^ b ^ self._form(b, a)
+        top = self._top
+        if top is None:
+            return self._mult(a, b)
+        m = self._top_mask
+        at, bt = a & m, b & m
+        key = at << self._top_bits | bt
+        r = top[key]
+        if r < 0:
+            r = top[key] = self._mult(at, bt)
+        return r ^ ((a ^ b) & ~m)
+
+    def square(self, a: int) -> int:
+        if self._fast:
+            return self._form(a, a)
+        return self.mult(a, a)
+
+    def inv(self, a: int) -> int:
+        if self._fast:
+            return a ^ self._form(a, a)
+        if self._top is not None:
+            k = a & ~self._top_mask
+            return self._inv(a ^ k) ^ k
+        return self._inv(a)
 
     def conj(self, g: int, h: int) -> int:
         """h^-1 g h."""
@@ -1024,12 +1069,13 @@ class _TailedGroup(PcGroup):
     [x_i, x_j] = w_ij, i < j ascending, the tails from n on.  An element is
     its normal form plus T << n, T = sum c_r << (TAIL_BITS r), so it may be
     negative.  Each override splits the central tails off, runs the plain
-    step on the bits and adds them back (`inv` negates them), so the memo
-    tables stay keyed by bits."""
+    step on the bits and adds them back (`_inv` negates them), so the memo
+    tables stay keyed by bits.  It keeps no top table: its tails sit above
+    bit n, outside any central tail of G."""
 
     def __init__(self, group: PcGroup) -> None:
         super().__init__(group.name, group.n, group.powers, group.comms, validate=False)
-        self._fast, self._low, n = False, group.order - 1, group.n
+        self._fast, self._top, self._low, n = False, None, group.order - 1, group.n
         units = [1 << (n + TAIL_BITS * r) for r in range(n * (n + 1) // 2)]
         self.powers = tuple(p + u for p, u in zip(group.powers, units))
         pair_units = iter(units[n:])
@@ -1046,9 +1092,9 @@ class _TailedGroup(PcGroup):
         lo = b & self._low
         return PcGroup._mult(self, a, lo) + (b - lo)
 
-    def inv(self, a: int) -> int:
+    def _inv(self, a: int) -> int:
         lo = a & self._low
-        return PcGroup.inv(self, lo) - (a - lo)
+        return PcGroup._inv(self, lo) - (a - lo)
 
 
 def tails_rows(group: PcGroup) -> List[List[int]]:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import RKM_LARGER, GenericView, cyclic_product, rkm
 from twogroups.catalog import parse_catalog
+from twogroups.homology import cover_presentation
 from twogroups.linalg import smith_normal_form
 from twogroups.oracles import pc_to_table, quaternion_table_group
 from twogroups.pcgroup import (
@@ -15,6 +16,7 @@ from twogroups.pcgroup import (
     ScaleError,
     Subgroup,
     _lexkey,
+    _TailedGroup,
     abelian_invariants,
     abelianization,
     center_span,
@@ -30,6 +32,7 @@ from twogroups.pcgroup import (
 )
 
 RNG_SEED = 424242
+COVERS_CAT = Path(__file__).parents[1] / "perfbench" / "covers.cat"
 
 
 def test_collect_known_words(cat):
@@ -69,10 +72,12 @@ def test_element_wrapper(cat):
 
 
 def generic_copy(group):
-    """The same presentation with the fast path switched off, so every
-    operation goes through the generic collector and its formulas."""
+    """The same presentation on the collector alone: with neither the fast
+    path nor the top table, every operation goes through the generic
+    collector and its formulas."""
     slow = PcGroup(group.name, group.n, group.powers, group.comms, validate=False)
-    slow._fast = False
+    slow._fast, slow._top = False, None
+    assert not slow.is_fast and slow._top is None
     return slow
 
 
@@ -114,6 +119,56 @@ def test_form_tables_hold_64_bit_words():
     assert cyclic_product([1] * 65).mult(1, 1 << 64) == 1 | 1 << 64
     with pytest.raises(ScaleError):
         PcGroup("C4xC2^64", 66, [2] + [0] * 65, [[0] * 66 for _ in range(66)])
+
+
+def test_top_table_matches_collector(cat, small_family):
+    # the frozen benchmark covers, the cover presentations of small groups
+    # and of the 2^10 R(k,m), and the covers of covers, each presentation
+    # once; every pair up to 2^9 elements, 20k seeded pairs above
+    covers = {g.name: g for g in parse_catalog(COVERS_CAT.read_text())}
+    tops = {name: g._top_bits for name, g in covers.items() if g._top is not None}
+    assert tops == {"Cover_R2_3_s1203": 5, "Cover_SG128_1376": 7, "Cover_R3_4_s304": 7}
+    assert cover_presentation(cat["G16384"]).cover._top is None
+    groups = list(covers.values()) + small_family
+    groups += [cover_presentation(g).cover for g in small_family + [rkm(*a) for a in RKM_LARGER]]
+    # the rest run the collector itself, so there is nothing to compare
+    groups = {(g.powers, g.comms): g for g in groups if g._top is not None}.values()
+    assert len(groups) >= 10
+    rng = random.Random(RNG_SEED)
+    for g in groups:
+        slow = generic_copy(g)
+        if g.order <= 1 << 9:
+            pairs = [(a, b) for a in g.elements() for b in g.elements()]
+        else:
+            pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(20000)]
+        for a, b in pairs:
+            assert g.mult(a, b) == slow.mult(a, b), g.name
+            assert g.conj(a, b) == slow.conj(a, b), g.name
+            assert g.comm(a, b) == slow.comm(a, b), g.name
+        for a in {a for a, _ in pairs}:
+            assert g.square(a) == slow.square(a), g.name
+            assert g.inv(a) == slow.inv(a), g.name
+        # each entry is the sentinel or the collector's product of the tops
+        s, top = g._top_bits, g._top
+        assert len(top) == 1 << 2 * s and max(top) >= 0, g.name
+        for key, r in enumerate(top):
+            assert r == -1 or r == slow._mult(key >> s, key & (1 << s) - 1), g.name
+        assert _TailedGroup(g)._top is None, g.name
+
+
+def test_top_table_keeps_validation():
+    good = {g.name: g for g in parse_catalog(COVERS_CAT.read_text())}["Cover_R2_3_s1203"]
+    # x3^2 = x6 instead of x6 x7; the central tail x6..x9 stays
+    powers = list(good.powers)
+    powers[2] ^= 1 << 6
+    bad = PcGroup("bad", good.n, powers, good.comms, validate=False)
+    assert good._top is not None and bad._top is not None
+    assert good.consistency_failures() == generic_copy(good).consistency_failures() == []
+    assert bad.consistency_failures() == generic_copy(bad).consistency_failures() == [
+        (2, 2, 1), (2, 1, 1)
+    ]
+    with pytest.raises(PcError):
+        PcGroup("bad", good.n, powers, good.comms, validate=True)
 
 
 def test_all_normal_forms_distinct_and_closed(cat):
@@ -309,7 +364,7 @@ def test_abelianization_values(cat):
 def test_abelianization_coordinates_certificate(small_family):
     # seeded random pairs over small groups, the 2^10 R(k,m) and the frozen
     # class-3 covers of the benchmark (2^9..2^12, generic collector)
-    covers = parse_catalog((Path(__file__).parents[1] / "perfbench" / "covers.cat").read_text())
+    covers = parse_catalog(COVERS_CAT.read_text())
     rng = random.Random(RNG_SEED)
     for g in small_family + [rkm(*a) for a in RKM_LARGER] + covers:
         ab = abelianization(g)

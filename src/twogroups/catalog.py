@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -135,6 +134,8 @@ def serialize_catalog(groups: List[PcGroup]) -> str:
 
 
 def input_digest(group: PcGroup) -> str:
+    import hashlib  # here, not at the top: only --json reports need it
+
     return hashlib.sha256(serialize(group).encode()).hexdigest()[:16]
 
 

@@ -6,6 +6,11 @@ catalog first, then against --catalog files (use file entries by name).
 Machine output with --json is deterministic apart from the timing field;
 progress for long scans goes to stderr only.
 
+At module level only the standard library is imported; each subcommand
+imports its layer when it runs, so a call loads only what it uses.  The
+timing field counts from entry to main, so it includes those imports but
+not interpreter start-up or the package import.
+
 Exit codes: 0 success, 1 computational precondition failure, 2 usage error.
 """
 
@@ -16,34 +21,21 @@ import json
 import math
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import __version__
-from .catalog import (
-    CatalogError,
-    fingerprint,
-    input_digest,
-    parse_catalog,
-    serialize,
-    shipped_catalog,
-)
-from .f2poly import F2Poly, PolyError, parse_poly
-from .homology import ScaleError, cover_presentation
-from .ktheory import (
-    central_extension_from_hom,
-    h1_wh_prime,
-    search_central_extensions,
-    sk1,
-)
-from .lhs import LhsError, dead_quartic_subspace, lhs_data_for, survives_deg4
-from .ooze import OozeError, compatible_pair_check, conjecture62_scan, lambda4_detect
-from .pcgroup import PcError, PcGroup, homomorphism
+
+if TYPE_CHECKING:
+    from .f2poly import F2Poly
+    from .pcgroup import PcGroup
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
 
 
 def _load_groups(paths: List[str]) -> Dict[str, PcGroup]:
+    from .catalog import parse_catalog, shipped_catalog
+
     # shipped names win on collision: references resolve against the shipped
     # catalog first, then against --catalog files
     groups = dict(shipped_catalog())
@@ -70,6 +62,8 @@ def _resolve(groups: Dict[str, PcGroup], ref: str) -> PcGroup:
 
 def _emit(args, group: Optional[PcGroup], invariant: str, value, certificate=None) -> None:
     if args.json:
+        from .catalog import input_digest
+
         report = {
             "tool": "twogroups",
             "version": __version__,
@@ -94,6 +88,8 @@ def _emit(args, group: Optional[PcGroup], invariant: str, value, certificate=Non
 
 
 def _word(text: str) -> List[int]:
+    from .f2poly import PolyError
+
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
@@ -109,6 +105,8 @@ def _indices(label: str, text: str, low: int, high: int) -> List[int]:
 
 
 def _quadratic(label: str, text: str, variables) -> F2Poly:
+    from .f2poly import parse_poly
+
     poly = parse_poly(text, variables)
     if poly and (not poly.is_homogeneous() or poly.degree() != 2):
         raise UsageError(f"--{label} must be homogeneous of degree 2 (or zero)")
@@ -116,6 +114,8 @@ def _quadratic(label: str, text: str, variables) -> F2Poly:
 
 
 def cmd_info(args, groups) -> int:
+    from .catalog import fingerprint, serialize
+
     g = _resolve(groups, args.group)
     fp = fingerprint(g)
     value = {
@@ -130,6 +130,8 @@ def cmd_info(args, groups) -> int:
 
 
 def cmd_h1whp(args, groups) -> int:
+    from .ktheory import h1_wh_prime
+
     g = _resolve(groups, args.group)
     data = h1_wh_prime(g)
     _emit(args, g, "h1_wh_prime", {"rank": data.rank}, certificate=data.as_dict())
@@ -137,6 +139,8 @@ def cmd_h1whp(args, groups) -> int:
 
 
 def cmd_sk1(args, groups) -> int:
+    from .ktheory import sk1
+
     g = _resolve(groups, args.group)
     data = sk1(g)
     _emit(args, g, "sk1", {"invariants": list(data.invariants)}, certificate=data.as_dict())
@@ -144,6 +148,8 @@ def cmd_sk1(args, groups) -> int:
 
 
 def cmd_cover(args, groups) -> int:
+    from .homology import cover_presentation
+
     g = _resolve(groups, args.group)
     pres = cover_presentation(g)
     h2_order = math.prod(pres.h2_invariants)  # the kernel, all of it stem
@@ -158,6 +164,8 @@ def cmd_cover(args, groups) -> int:
 
 
 def cmd_search_ext(args, groups) -> int:
+    from .ktheory import search_central_extensions
+
     g = _resolve(groups, args.group)
     print(f"scanning central order-2 subgroups of {g.name} ...", file=sys.stderr)
     entries = search_central_extensions(g)
@@ -167,6 +175,8 @@ def cmd_search_ext(args, groups) -> int:
 
 
 def cmd_lhs_report(args, groups) -> int:
+    from .lhs import dead_quartic_subspace, lhs_data_for, survives_deg4
+
     g = _resolve(groups, args.group)
     data = lhs_data_for(g)
     value = data.as_dict()
@@ -184,6 +194,8 @@ def cmd_lhs_report(args, groups) -> int:
 
 
 def cmd_lambda4(args, groups) -> int:
+    from .ooze import lambda4_detect
+
     g = _resolve(groups, args.group)
     report = lambda4_detect(g)
     value = {"verdict": report.verdict, "reasons": report.reasons}
@@ -192,6 +204,11 @@ def cmd_lambda4(args, groups) -> int:
 
 
 def cmd_compat(args, groups) -> int:
+    from .ktheory import central_extension_from_hom
+    from .lhs import lhs_data_for
+    from .ooze import compatible_pair_check
+    from .pcgroup import PcError, homomorphism
+
     g = _resolve(groups, args.group)
     cover = _resolve(groups, args.cover)
     idx = _indices("image", args.images or "", 0, g.n)
@@ -212,6 +229,8 @@ def cmd_compat(args, groups) -> int:
 
 
 def cmd_conj62(args, groups) -> int:
+    from .ooze import conjecture62_scan
+
     g = _resolve(groups, args.group)
     seqs = conjecture62_scan(g)
     value = {
@@ -286,6 +305,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
     args.started = started
+    from .catalog import CatalogError
+
     try:
         groups = _load_groups(args.catalog)
     except (OSError, CatalogError) as exc:
@@ -296,12 +317,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UnknownGroupError as exc:
         print(f"error: unknown group {exc.args[0]!r}", file=sys.stderr)
         return USAGE_ERROR
-    except (PolyError, UsageError) as exc:
+    except ValueError as exc:
+        # every domain error is a ValueError; the classes are looked up only
+        # once one is raised, so that a call imports no layer it does not run
+        from .f2poly import PolyError
+        from .lhs import LhsError
+        from .ooze import OozeError
+        from .pcgroup import PcError, ScaleError
+
+        if isinstance(exc, (PolyError, UsageError)):
+            code = USAGE_ERROR
+        elif isinstance(exc, (ScaleError, LhsError, OozeError, PcError)):
+            code = COMPUTE_ERROR
+        else:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ScaleError, LhsError, OozeError, PcError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return COMPUTE_ERROR
+        return code
     except BrokenPipeError:
         # downstream consumer closed the stream (e.g. piping into head)
         try:

@@ -44,6 +44,14 @@ class F2Poly:
                 acc.add(m)
         self.monomials: FrozenSet[Monomial] = frozenset(acc)
 
+    @classmethod
+    def _of(cls, variables: Tuple[str, ...], monomials: FrozenSet[Monomial]) -> "F2Poly":
+        # the ring operations' results: already reduced, of the right length
+        poly = object.__new__(cls)
+        poly.vars = variables
+        poly.monomials = monomials
+        return poly
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
@@ -52,7 +60,8 @@ class F2Poly:
 
     @classmethod
     def one(cls, variables: Sequence[str]) -> "F2Poly":
-        return cls(tuple(variables), [tuple(0 for _ in variables)])
+        variables = tuple(variables)
+        return cls._of(variables, frozenset([(0,) * len(variables)]))
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "F2Poly":
@@ -70,7 +79,7 @@ class F2Poly:
 
     def __add__(self, other: "F2Poly") -> "F2Poly":
         self._check(other)
-        return F2Poly(self.vars, self.monomials ^ other.monomials)
+        return F2Poly._of(self.vars, self.monomials ^ other.monomials)
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
         self._check(other)
@@ -82,7 +91,7 @@ class F2Poly:
                     acc.discard(m)
                 else:
                     acc.add(m)
-        return F2Poly(self.vars, acc)
+        return F2Poly._of(self.vars, frozenset(acc))
 
     def __pow__(self, k: int) -> "F2Poly":
         if k < 0:
@@ -190,7 +199,7 @@ def sq1(f: F2Poly) -> F2Poly:
                     acc.discard(t)
                 else:
                     acc.add(t)
-    return F2Poly(f.vars, acc)
+    return F2Poly._of(f.vars, frozenset(acc))
 
 
 def monomials_of_degree(variables: Sequence[str], d: int) -> List[Monomial]:

@@ -9,11 +9,15 @@ from pathlib import Path
 
 import pytest
 
+import twogroups.ktheory
 from conftest import rkm
 from twogroups import cli
 from twogroups.catalog import serialize_catalog
 from twogroups.cli import main
-from twogroups.pcgroup import ELEMENT_WALK_BOUND
+from twogroups.f2poly import PolyError
+from twogroups.lhs import LhsError
+from twogroups.ooze import OozeError
+from twogroups.pcgroup import ELEMENT_WALK_BOUND, PcError, ScaleError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,9 +60,31 @@ def test_internal_key_error_is_not_unknown_group(monkeypatch, capsys):
     def broken(group):
         raise KeyError("internal")
 
-    monkeypatch.setattr(cli, "h1_wh_prime", broken)
+    monkeypatch.setattr(twogroups.ktheory, "h1_wh_prime", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["h1whp", "D8"])
+
+
+@pytest.mark.parametrize("error, code", [
+    (ScaleError, 1), (PcError, 1), (LhsError, 1), (OozeError, 1),
+    (PolyError, 2), (cli.UsageError, 2), ("bad-catalog", 2),
+])
+def test_domain_errors_keep_their_exit_codes(error, code, tmp_path, monkeypatch, capsys):
+    # the error classes are looked up only once one is raised; a KeyError
+    # still propagates (test above)
+    argv = ["h1whp", "D8"]
+    if error == "bad-catalog":
+        path = tmp_path / "bad.cat"
+        path.write_text("group X\nngens 2\npow 2 = 1\nend\n")
+        argv += ["--catalog", str(path)]
+    else:
+        def broken(group):
+            raise error("boom")
+
+        monkeypatch.setattr(twogroups.ktheory, "h1_wh_prime", broken)
+    got, out, err = run_cli(argv, capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ")
 
 
 def test_conj62_scale_bound_is_exit_1(tmp_path, capsys):

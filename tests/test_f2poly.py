@@ -150,3 +150,29 @@ def test_parse_rejects_garbage():
 def test_monomial_enumeration_is_descending_grlex():
     monos = monomials_of_degree(("X1", "X2"), 2)
     assert monos == [(2, 0), (1, 1), (0, 2)]
+
+
+def test_operations_match_the_public_constructor():
+    # +, *, ** and sq1 build their results without re-validation; each must
+    # equal the polynomial the public constructor makes of the raw terms
+    rng = random.Random(7)
+
+    def rand():
+        return F2Poly(V7, [tuple(rng.randrange(3) for _ in V7) for _ in range(rng.randrange(5))])
+
+    for _ in range(300):
+        f, g = rand(), rand()
+        products = [tuple(x + y for x, y in zip(a, b)) for a in f.monomials for b in g.monomials]
+        bumped = [m[:i] + (e + 1,) + m[i + 1:]
+                  for m in f.monomials for i, e in enumerate(m) if e & 1]
+        cube = F2Poly(V7, [tuple(map(sum, zip(a, b, c))) for a in f.monomials
+                           for b in f.monomials for c in f.monomials])
+        for got, want in [
+            (f + g, F2Poly(V7, list(f.monomials) + list(g.monomials))),
+            (f * g, F2Poly(V7, products)),
+            (sq1(f), F2Poly(V7, bumped)),
+            (f ** 3, cube),
+            (f ** 0, F2Poly(V7, [(0,) * len(V7)])),
+        ]:
+            assert (got, type(got.vars), type(got.monomials)) == (want, tuple, frozenset)
+            assert hash(got) == hash(want)

@@ -221,7 +221,7 @@ def cmd_compat(args, groups) -> int:
     z = _quadratic("z", args.z, data.variables)
     alpha = homomorphism(cover, g, images)
     ext = central_extension_from_hom(cover, alpha)
-    if sigma and cover.element_from_indices(sigma) not in ext.sigma.elements:
+    if sigma and cover.element_from_indices(sigma) != ext.t:
         raise PcError("--sigma word does not generate the kernel of --images")
     report = compatible_pair_check(g, ext, theta, z)
     _emit(args, g, "compatible_pair", report.as_dict())

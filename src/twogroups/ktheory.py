@@ -4,9 +4,9 @@ H^1(Wh'(Z2^G)) is computed by the S/C recipe: S = {g : g^2 in [G,G]},
 C = <g in S : g conjugate to g^-1, or g in [G,G]>, and the answer is the
 elementary abelian quotient S/C.  SK_1(Z2^G) is H_2(G) modulo the commuting
 wedges, computed in the kernel coordinates of a cover presentation.  The
-extension criteria take a central order-2 subgroup sigma of a cover and test
-(a) sigma inside the derived subgroup with its generator not a commutator,
-(b) the conjugate-to-inverse lifting condition.
+extension criteria take the generator t of a central order-2 subgroup
+sigma = <t> of a cover and test (a) sigma inside the derived subgroup with
+t not a commutator, (b) the conjugate-to-inverse lifting condition.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from .pcgroup import (
     conjugacy_orbit,
     conjugate_to_inverse_witness,
     derived_subgroup,
-    is_central_quotient,
     standard_subgroups,
-    subgroup,
 )
 from .homology import CoverPresentation, cover_presentation
 
@@ -212,54 +210,41 @@ def sk1(group: PcGroup, cover: Optional[CoverPresentation] = None) -> SK1Data:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CentralExtensionData:
-    """sigma >-> pi~ ->> pi with sigma central of order two."""
+    """<t> >-> pi~ ->> pi: t central of order two, alpha onto pi, ker alpha = <t>."""
 
     cover_group: object
-    sigma: Subgroup
+    t: int
     alpha: object  # GroupHom onto the quotient
-    sigma_in_derived: bool = False
-    omega_disjoint: Optional[bool] = None
-    lifting_condition: Optional[bool] = None
+    sigma_in_derived: bool
 
     @property
     def quotient(self):
         return self.alpha.target
 
-    @property
-    def t(self) -> int:
-        for g in self.sigma.elements:
-            if g != self.cover_group.identity:
-                return g
-        raise PcError("sigma is trivial")
+
+def _extension(cover_group, t: int, alpha) -> CentralExtensionData:
+    return CentralExtensionData(
+        cover_group, t, alpha, t in derived_subgroup(cover_group).elements
+    )
 
 
 def central_extension(cover_group: PcGroup, sigma_word: Sequence[int]) -> CentralExtensionData:
     """Natural quotient extension by the order-2 central subgroup <word>."""
     t = cover_group.element_from_indices(sigma_word)
-    return CentralExtensionData(
-        cover_group=cover_group,
-        sigma=subgroup(cover_group, [t]),
-        alpha=central_quotient(cover_group, t),
-        sigma_in_derived=t in derived_subgroup(cover_group).elements,
-    )
+    return _extension(cover_group, t, central_quotient(cover_group, t))
 
 
 def central_extension_from_hom(cover_group, alpha) -> CentralExtensionData:
     """Extension data for an explicit surjection with order-2 central kernel."""
+    check_element_walk(cover_group, "central_extension_from_hom")
     ker = alpha.kernel()
     if ker.order != 2 or not ker.is_central:
         raise PcError("kernel must be central of order two")
     if not alpha.is_surjective():
         raise PcError("alpha must be surjective")
-    der = derived_subgroup(cover_group)
-    return CentralExtensionData(
-        cover_group=cover_group,
-        sigma=ker,
-        alpha=alpha,
-        sigma_in_derived=ker.elements <= der.elements,
-    )
+    return _extension(cover_group, max(ker.elements), alpha)
 
 
 def commutator_values(group) -> Dict[int, Tuple[int, int]]:
@@ -298,14 +283,11 @@ def thm41_check(ext: CentralExtensionData) -> CriterionResult:
     When this holds, SK_1 of the 2-adic group ring of the quotient is
     nonzero (the map from the cover's SK_1 cannot be surjective).
     """
-    g = ext.cover_group
-    t = ext.t
+    g, t = ext.cover_group, ext.t
     if not ext.sigma_in_derived:
-        ext.omega_disjoint = False
         return CriterionResult(False, {"reason": "sigma not inside derived subgroup"})
     pair = commutator_values(g).get(t)
     if pair is not None:
-        ext.omega_disjoint = False
         return CriterionResult(
             False,
             {
@@ -313,32 +295,27 @@ def thm41_check(ext: CentralExtensionData) -> CriterionResult:
                 "pair": [g.element_str(pair[0]), g.element_str(pair[1])],
             },
         )
-    ext.omega_disjoint = True
     return CriterionResult(True, {"sigma": g.element_str(t)})
 
 
 def thm42_check(ext: CentralExtensionData) -> CriterionResult:
     """Every quotient element conjugate to its inverse lifts to one with the
     same property; false comes with the offending element, printed as its
-    lexicographically least preimage in brackets.  The scan runs on the pc
-    quotient by <t>, so any surjection with kernel <t> gives the same answer.
+    lexicographically least preimage in brackets.  The scan runs on
+    `central_quotient(cover, t)`, built here, so any surjection with kernel
+    <t> gives the same answer.
 
     One preimage l of h decides: t is central of order two, so y^-1 (l t) y
     = (l t)^-1 = l^-1 t exactly when y^-1 l y = l^-1."""
     g, t = ext.cover_group, ext.t
-    alpha = ext.alpha
-    if not is_central_quotient(alpha, g, t):
-        alpha = central_quotient(g, t)
-    q = alpha.target
+    q = central_quotient(g, t).target
     for cls in conjugacy_classes(q):
         h = cls.rep
         if q.inv(h) not in cls.elements:
             continue
         lift = central_lift(t, h)
         if conjugate_to_inverse_witness(g, lift) is None:
-            ext.lifting_condition = False
             return CriterionResult(False, {"counterexample": f"[{g.element_str(lift)}]"})
-    ext.lifting_condition = True
     return CriterionResult(True)
 
 
@@ -371,13 +348,8 @@ def search_central_extensions(group) -> List[ExtensionSearchEntry]:
             continue
         if group.element_order(t) != 2 or t in commutators:
             continue
-        ext = CentralExtensionData(
-            cover_group=group,
-            sigma=subgroup(group, [t]),
-            alpha=central_quotient(group, t),
-            sigma_in_derived=True,
-            omega_disjoint=True,
-        )
+        # every candidate lies in Z(G) n [G,G], so sigma_in_derived holds
+        ext = CentralExtensionData(group, t, central_quotient(group, t), True)
         fp = fingerprint(ext.quotient)
         if fp in seen_fps:
             continue

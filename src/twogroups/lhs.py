@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2poly import DegreeSlice, F2Poly, MembershipCertificate, degree_membership, sq1
 from .linalg import elementary_coordinates, gf2_kernel, iter_bits, transpose_masks
-from .pcgroup import PcGroup, Subgroup, derived_subgroup, subgroup
+from .pcgroup import PcGroup, Subgroup, frattini_subgroup, subgroup
 
 
 class LhsError(ValueError):
@@ -143,15 +143,6 @@ def d2_table(group, v_subgroup: Subgroup) -> LhsData:
         ideal_gens=ideal_gens,
         ideal_closed=closed,
     )
-
-
-def frattini_subgroup(group) -> Subgroup:
-    """<squares and commutators>; the quotient is the largest elementary
-    abelian one."""
-    gens = [group.square(g) for g in group.generators]
-    der = derived_subgroup(group)
-    gens.extend(der.gens)
-    return subgroup(group, gens, normal_closure=True)
 
 
 def lhs_data_for(group: PcGroup) -> LhsData:

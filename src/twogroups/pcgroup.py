@@ -451,7 +451,23 @@ def frattini_generators(group) -> List[int]:
     Phi(G) through later generators, so the non-pivot x_i span G/Phi(G)
     and generate G by the Burnside basis theorem (Holt, Eick and O'Brien,
     Handbook of CGT, ch. 8)."""
-    pivots: Dict[int, int] = {}  # lowest set bit -> echelon vector
+    pivots = _relation_echelon(group)
+    return [1 << i for i in range(group.n) if 1 << i not in pivots]
+
+
+def frattini_subgroup(group) -> Subgroup:
+    """Phi(G), the kernel of `frattini_generators`' map: the elements whose
+    exponent bits lie in R, generated by its echelon vectors (their distinct
+    leading bits make them an induced pc sequence of the span)."""
+    gens = list(_relation_echelon(group).values())
+    elems = [0]
+    for w in gens:
+        elems += [e ^ w for e in elems]
+    return Subgroup(group, gens, frozenset(elems))
+
+
+def _relation_echelon(group) -> Dict[int, int]:
+    pivots: Dict[int, int] = {}  # lowest set bit -> echelon vector of R
     for w in group.powers + tuple(c for row in group.comms for c in row):
         while w:
             low = w & -w
@@ -459,7 +475,7 @@ def frattini_generators(group) -> List[int]:
                 pivots[low] = w
                 break
             w ^= pivots[low]
-    return [1 << i for i in range(group.n) if 1 << i not in pivots]
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -819,33 +835,8 @@ def central_quotient(group: PcGroup, t: int) -> GroupHom:
     t = x_j w with w in G_{j+1}, and x_j is central modulo G_{j+1}, so v and
     v t agree below bit j and differ in bit j.  The image of v is the one of
     the two with bit j clear, with bit j deleted: the lexicographically
-    least of the two, which `central_lift` recovers."""
-    powers, comms, images = _central_quotient_data(group, t)
-    quotient = PcGroup(
-        f"{group.name}/<{group.element_str(t)}>", group.n - 1, powers, comms
-    )
-    return GroupHom(group, quotient, images)
-
-
-def is_central_quotient(hom, group: PcGroup, t: int) -> bool:
-    """True when hom is the projection that central_quotient(group, t)
-    builds: the same generator images onto the same presentation, so
-    `central_lift(t, .)` inverts it."""
-    if not (isinstance(hom, GroupHom) and hom.source is group):
-        return False
-    powers, comms, images = _central_quotient_data(group, t)
-    target = hom.target
-    return (
-        isinstance(target, PcGroup)
-        and hom.images == tuple(images)
-        and target.powers == tuple(powers)
-        and target.comms == tuple(map(tuple, comms))
-    )
-
-
-def _central_quotient_data(group: PcGroup, t: int):
-    """Power words, commutator table and generator images of
-    central_quotient(group, t); PcError unless t is central of order two."""
+    least of the two, which `central_lift` recovers.  PcError unless t is
+    central of order two."""
     if not 0 < t < group.order or group.square(t) or any(
         group.comm(t, x) for x in group.generators
     ):
@@ -861,7 +852,10 @@ def _central_quotient_data(group: PcGroup, t: int):
     keep = [i for i in range(group.n) if i != j]
     powers = [image(group.powers[i]) for i in keep]
     comms = [[image(group.comms[a][b]) for b in keep] for a in keep]
-    return powers, comms, [image(1 << i) for i in range(group.n)]
+    quotient = PcGroup(
+        f"{group.name}/<{group.element_str(t)}>", group.n - 1, powers, comms
+    )
+    return GroupHom(group, quotient, [image(1 << i) for i in range(group.n)])
 
 
 def central_lift(t: int, h: int) -> int:

@@ -197,12 +197,31 @@ def test_compat_usage_errors_exit_2(extra, message, capsys):
     [
         (["--images", "1 2 3 4 5 6 7 1"], "map does not respect relation"),
         (IMAGES + ["--sigma", "1"], "--sigma word does not generate the kernel"),
+        # x8^2 = 1: a word equal to the identity does not generate the kernel
+        (IMAGES + ["--sigma", "8 8"], "--sigma word does not generate the kernel"),
     ],
 )
 def test_compat_mathematical_failures_exit_1(extra, message, capsys):
     code, out, err = run_cli(COMPAT + QUADRATICS + extra, capsys)
     assert code == 1, err
     assert message in err
+
+
+def test_compat_cover_past_the_element_walk_bound_is_exit_1(tmp_path, capsys):
+    # the kernel of --images is an element walk of the cover: C2^21 onto
+    # C2^20 is refused before it begins
+    path = tmp_path / "big.cat"
+    path.write_text("group E20\nngens 20\nend\ngroup E21\nngens 21\nend\n")
+    images = " ".join(map(str, range(1, 21))) + " 0"
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["compat", "E20", "--cover", "E21", "--images", images, "--theta", "0",
+         "--z", "0", "--catalog", str(path)],
+        capsys,
+    )
+    assert code == 1, err
+    assert "central_extension_from_hom bound is |G| <= 2^20, got |G| = 2^21" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_conj62(capsys):

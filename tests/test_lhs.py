@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import RKM_LARGER, rkm
 from twogroups.catalog import fingerprint
 from twogroups.f2poly import parse_poly, sq1
 from twogroups.ktheory import central_extension_from_hom
@@ -13,7 +14,7 @@ from twogroups.lhs import (
     lhs_data_for,
     survives_deg4,
 )
-from twogroups.pcgroup import PcGroup, homomorphism, subgroup
+from twogroups.pcgroup import PcGroup, derived_subgroup, homomorphism, subgroup
 
 # frozen expected differential tables, keyed by the pc index of the
 # kernel coordinate (zeta_i dual to generator i)
@@ -231,6 +232,19 @@ def test_frattini(cat):
     g = cat["SG128_1376"]
     frat = frattini_subgroup(g)
     assert frat.elements == subgroup(g, [g.element_from_indices([i]) for i in [5, 6, 7]]).elements
+
+
+def test_frattini_matches_the_closure_of_squares_and_commutators(small_family):
+    # the oracle: the normal closure of every square and the derived
+    # subgroup's generators, against the span of the relation values
+    for g in small_family + [rkm(*a) for a in RKM_LARGER]:
+        closure = subgroup(
+            g, [g.square(x) for x in g.generators] + list(derived_subgroup(g).gens),
+            normal_closure=True,
+        )
+        frat = frattini_subgroup(g)
+        assert frat.elements == closure.elements, g.name
+        assert subgroup(g, frat.gens).elements == frat.elements, g.name
 
 
 def test_survival_matches_known_cohomology(cat):

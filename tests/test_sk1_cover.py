@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cyclic_product, relabel, rkm
-from twogroups import homology, ktheory, pcgroup
+from twogroups import homology, pcgroup
 from twogroups.catalog import parse_catalog
 from twogroups.homology import (
     ScaleError,
@@ -156,7 +156,7 @@ def test_sk1_lists_and_closes_nothing_in_the_cover(cat, monkeypatch):
         closed.append(group)
         return original(group, gens, normal_closure)
 
-    for module in (pcgroup, homology, ktheory):
+    for module in (pcgroup, homology):
         monkeypatch.setattr(module, "subgroup", recording)
     g = cat["SG128_1376"]
     data = sk1(g)

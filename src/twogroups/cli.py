@@ -204,10 +204,10 @@ def cmd_lambda4(args, groups) -> int:
 
 
 def cmd_compat(args, groups) -> int:
-    from .ktheory import central_extension_from_hom
+    from .ktheory import central_extension_from_hom, check_sk1_pairs
     from .lhs import lhs_data_for
     from .ooze import compatible_pair_check
-    from .pcgroup import PcError, homomorphism
+    from .pcgroup import PcError, check_element_walk, homomorphism
 
     g = _resolve(groups, args.group)
     cover = _resolve(groups, args.cover)
@@ -220,6 +220,9 @@ def cmd_compat(args, groups) -> int:
     theta = _quadratic("theta", args.theta, data.variables)
     z = _quadratic("z", args.z, data.variables)
     alpha = homomorphism(cover, g, images)
+    # the report's walks are refused before the extension is built
+    check_element_walk(cover, "central_extension_from_hom")
+    check_sk1_pairs(g)
     ext = central_extension_from_hom(cover, alpha)
     if sigma and cover.element_from_indices(sigma) != ext.t:
         raise PcError("--sigma word does not generate the kernel of --images")

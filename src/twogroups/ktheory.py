@@ -33,6 +33,7 @@ from .pcgroup import (
     conjugacy_orbit,
     conjugate_to_inverse_witness,
     derived_subgroup,
+    frattini_generators,
     standard_subgroups,
 )
 from .homology import CoverPresentation, cover_presentation
@@ -83,6 +84,7 @@ def h1_wh_prime(group) -> WhPrimeData:
     if fast:
         der_span = Gf2Span(der.gens)
         solved: Dict[int, Optional[int]] = {}
+    gens = None if fast else frattini_generators(group)
     s_elems = ab.s_elements()
     witnesses: List[Tuple[int, int]] = []
     orbit_of: Dict[int, Dict[int, int]] = {}
@@ -96,7 +98,7 @@ def h1_wh_prime(group) -> WhPrimeData:
             h = solved[key]
         else:
             if g not in orbit_of:
-                orbit = conjugacy_orbit(group, g)
+                orbit = conjugacy_orbit(group, g, _gens=gens)
                 orbit_of.update(dict.fromkeys(orbit, orbit))
             orbit = orbit_of[g]
             to_inv = orbit.get(group.inv(g))
@@ -122,6 +124,16 @@ def h1_wh_prime(group) -> WhPrimeData:
 # generic collector) 2.0-2.8 s at a 66 MB peak in-process, its own cover
 # presentation included.
 SK1_PAIR_BOUND = 1 << 18
+
+
+def check_sk1_pairs(group) -> None:
+    """Raise ScaleError before `sk1` walks more than SK1_PAIR_BOUND pairs."""
+    if group.order * group.n > SK1_PAIR_BOUND:
+        raise ScaleError(
+            f"sk1 bound is |G| n <= 2^{SK1_PAIR_BOUND.bit_length() - 1} "
+            f"(class representative, centralizer generator) pairs, "
+            f"got 2^{group.n} x {group.n}"
+        )
 
 
 @dataclass
@@ -185,12 +197,7 @@ def sk1(group: PcGroup, cover: Optional[CoverPresentation] = None) -> SK1Data:
     `class_centralizers`, and those of `cover_presentation`, all checked
     before the walk or the cover begins.
     """
-    if group.order * group.n > SK1_PAIR_BOUND:
-        raise ScaleError(
-            f"sk1 bound is |G| n <= 2^{SK1_PAIR_BOUND.bit_length() - 1} "
-            f"(class representative, centralizer generator) pairs, "
-            f"got 2^{group.n} x {group.n}"
-        )
+    check_sk1_pairs(group)
     walk = class_centralizers(group)
     if cover is None:
         cover = cover_presentation(group)

@@ -16,12 +16,13 @@ G behind the Schur cover (`tails_rows`): its free central tails ride in the
 same int, above the n bits of the normal form, as packed signed integers.
 
 A generic group's trailing generators x_{s+1}, ..., x_n that commute with
-every generator and square to 1 span a central elementary abelian
-subgroup K (the tail of a Schur cover, say).  With a = a_t a_k, a_t the
-bits below s and a_k the bits of K, a b = (a_t b_t) (a_k b_k), so a
-product is one lookup T[a_t, b_t] XOR the bits of K in a ^ b, and
-a^-1 = a_t^-1 ^ a_k.  When s <= CHUNK_BITS, T is one flat table of 2^(2s)
-words, each filled on first use by the collector (`PcGroup._tabulate_top`).
+every generator span a central abelian subgroup K (the tail of a Schur
+cover, say).  With a = a_t a_k, a_t the bits below s and a_k the bits of
+K, a b = (a_t b_t) a_k b_k, a^-1 = a_t^-1 a_k^-1 and h^-1 g h =
+(h_t^-1 g_t h_t) g_k: one lookup T[a_t, b_t] or C[g_t, h_t] times the K
+parts, which multiply by XOR when K is elementary and by a short collection
+on K's bits otherwise.  When s <= CHUNK_BITS, T and C are flat tables of
+2^(2s) words, each entry filled on first use (`PcGroup._tabulate_top`).
 
 Groups are immutable after construction; every operation is a pure function
 of its inputs (caches are internal memo tables only).
@@ -122,6 +123,7 @@ class PcGroup:
         self._mult_gen_cache: Dict[Tuple[int, int], int] = {}
         self._fast = self._detect_fast_path()
         self._top: Optional[array] = None
+        self._conj_top: Optional[array] = None
         if self._fast:
             self._tabulate()
         else:
@@ -212,23 +214,31 @@ class PcGroup:
         return acc
 
     def _tabulate_top(self) -> None:
-        """An empty product table over the central elementary tail K.
+        """An empty product table over the central tail K.
 
         K = <x_{s+1}, ..., x_n> for the least s at which every later
-        generator commutes with every generator and has power 0.  If
+        generator commutes with every generator; `_top_xor` tells that they
+        also have power 0 (not so for x9 in Cover_R3_3_s303, s = 6).  If
         s <= CHUNK_BITS, `_top` gets 2^(2s) entries of -1, and entry
         a_t << s | b_t is replaced by the collector's a_t b_t on first use
         (`mult`): filling whole rows is slower, since the class walks
-        touch many rows but few entries in each.  The entries are 64-bit
-        words, so groups on more than 63 generators keep the collector."""
+        touch many rows but few entries in each.  `conj` allocates its
+        table `_conj_top` alike.  Entries are 32-bit words below 32
+        generators and 64-bit words up to 63 (both tables: at most 1 MB at
+        s = 8); groups on more generators keep the collector."""
         n, s = self.n, self.n
-        while s and not self.powers[s - 1] and not any(self.comms[s - 1]) and not any(
-            row[s - 1] for row in self.comms
-        ):
+        while s and not any(self.comms[s - 1]) and not any(row[s - 1] for row in self.comms):
             s -= 1
         if s <= CHUNK_BITS and n < 64:
             self._top_bits, self._top_mask = s, (1 << s) - 1
-            self._top = array("q", [-1]) * (1 << 2 * s)
+            self._top_xor = not any(self.powers[s:])
+            self._top = array("i" if n < 32 else "q", [-1]) * (1 << 2 * s)
+
+    def _tail_mult(self, r: int, k: int) -> int:
+        """r k for k in a non-elementary tail K, collected on K's bits: as
+        k r_k, since K is abelian and r_k is often trivial."""
+        rk = r & ~self._top_mask
+        return r ^ rk | self._mult(k, rk) if rk else r | k
 
     # -- generic collector ---------------------------------------------------
 
@@ -298,7 +308,9 @@ class PcGroup:
         r = top[key]
         if r < 0:
             r = top[key] = self._mult(at, bt)
-        return r ^ ((a ^ b) & ~m)
+        if self._top_xor:
+            return r ^ ((a ^ b) & ~m)
+        return self._tail_mult(r, self._mult(a & ~m, b & ~m))
 
     def square(self, a: int) -> int:
         if self._fast:
@@ -310,14 +322,26 @@ class PcGroup:
             return a ^ self._form(a, a)
         if self._top is not None:
             k = a & ~self._top_mask
-            return self._inv(a ^ k) ^ k
+            r = self._inv(a ^ k)
+            return r ^ k if self._top_xor else self._tail_mult(r, self._inv(k))
         return self._inv(a)
 
     def conj(self, g: int, h: int) -> int:
         """h^-1 g h."""
         if self._fast:
             return g ^ self.comm(g, h)
-        return self.mult(self.mult(self.inv(h), g), h)
+        top, table = self._top, self._conj_top
+        if top is None:
+            return self.mult(self.mult(self.inv(h), g), h)
+        if table is None:
+            table = self._conj_top = array(top.typecode, [-1]) * len(top)
+        m = self._top_mask
+        gt, ht = g & m, h & m
+        key = gt << self._top_bits | ht
+        c = table[key]
+        if c < 0:
+            c = table[key] = self._mult(self._mult(self._inv(ht), gt), ht)
+        return c ^ (g & ~m) if self._top_xor else self._tail_mult(c, g & ~m)
 
     def comm(self, a: int, b: int) -> int:
         """[a, b] = a^-1 b^-1 a b."""
@@ -633,12 +657,13 @@ def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
             yield g, members, gens
         return
     identity = group.identity
+    gens = frattini_generators(group)
     seen = set()
     for g in group.elements():
         if g in seen:
             continue
         steps = [] if centralizers else None
-        orbit = conjugacy_orbit(group, g, _steps=steps)
+        orbit = conjugacy_orbit(group, g, _steps=steps, _gens=gens)
         seen.update(orbit)
         if steps is None:
             yield g, orbit, None
@@ -652,13 +677,16 @@ def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
         yield g, orbit, list(schreier)
 
 
-def conjugacy_orbit(group, g: int, *, _steps: Optional[list] = None) -> Dict[int, int]:
+def conjugacy_orbit(
+    group, g: int, *, _steps: Optional[list] = None, _gens: Optional[List[int]] = None
+) -> Dict[int, int]:
     """The class of g as {y: t} with t^-1 g t = y: a breadth-first orbit walk
     under conjugation by the d(G) elements of `frattini_generators`, which
     generate G, so the orbit is the whole class; it records one transporter
     per element (Holt, Eick and O'Brien, Handbook of CGT, 4.1).  The class
-    walk passes a list as `_steps` to receive every step (y, x, y^x)."""
-    gens = frattini_generators(group)
+    walk passes a list as `_steps` to receive every step (y, x, y^x); a
+    walk over many classes passes the generators once as `_gens`."""
+    gens = frattini_generators(group) if _gens is None else _gens
     orbit = {g: group.identity}
     frontier = [g]
     while frontier:
@@ -1064,7 +1092,7 @@ class _TailedGroup(PcGroup):
     its normal form plus T << n, T = sum c_r << (TAIL_BITS r), so it may be
     negative.  Each override splits the central tails off, runs the plain
     step on the bits and adds them back (`_inv` negates them), so the memo
-    tables stay keyed by bits.  It keeps no top table: its tails sit above
+    tables stay keyed by bits.  It keeps no top tables: its tails sit above
     bit n, outside any central tail of G."""
 
     def __init__(self, group: PcGroup) -> None:

@@ -17,7 +17,7 @@ from twogroups.cli import main
 from twogroups.f2poly import PolyError
 from twogroups.lhs import LhsError
 from twogroups.ooze import OozeError
-from twogroups.pcgroup import ELEMENT_WALK_BOUND, PcError, ScaleError
+from twogroups.pcgroup import ELEMENT_WALK_BOUND, PcError, PcGroup, ScaleError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -262,6 +262,26 @@ def test_sk1_pair_bound_is_exit_1(tmp_path, capsys):
     assert code == 1
     assert "sk1 bound is |G| n <= 2^18" in err and "got 2^15 x 15" in err
     assert time.perf_counter() - start < 5
+
+
+def test_compat_refuses_the_sk1_pairs_before_the_extension(tmp_path):
+    # C2^20 onto C2^19: the report's sk1 on C2^19 is past its pair bound,
+    # so compat is refused before the 2^20 kernel walk; a child process,
+    # so that a walk that does start fails here by the timeout instead of
+    # stalling
+    groups = [PcGroup(f"E{n}", n, [0] * n, [[0] * n] * n) for n in (19, 20)]
+    path = tmp_path / "e.cat"
+    path.write_text(serialize_catalog(groups))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
+    images = " ".join(map(str, range(1, 20))) + " 0"
+    proc = subprocess.run(
+        [sys.executable, "-m", "twogroups.cli", "compat", "E19", "--cover", "E20",
+         "--images", images, "--theta", "0", "--z", "0", "--catalog", str(path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert "sk1 bound is |G| n <= 2^18" in proc.stderr and "got 2^19 x 19" in proc.stderr
 
 
 def test_cover_finishes_on_growth_seeds(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from conftest import RKM_LARGER, GenericView, cyclic_product, rkm
 from twogroups.catalog import parse_catalog
 from twogroups.homology import cover_presentation
+from twogroups.ktheory import h1_wh_prime
 from twogroups.linalg import smith_normal_form
 from twogroups.oracles import pc_to_table, quaternion_table_group
 from twogroups.pcgroup import (
@@ -22,6 +23,7 @@ from twogroups.pcgroup import (
     center_span,
     central_lift,
     central_quotient,
+    class_centralizers,
     conjugacy_classes,
     conjugate_to_inverse_witness,
     homomorphism,
@@ -123,17 +125,28 @@ def test_form_tables_hold_64_bit_words():
 
 def test_top_table_matches_collector(cat, small_family):
     # the frozen benchmark covers, the cover presentations of small groups
-    # and of the 2^10 R(k,m), and the covers of covers, each presentation
-    # once; every pair up to 2^9 elements, 20k seeded pairs above
+    # and of the 2^10 R(k,m), the covers of covers, and groups whose tail
+    # is not elementary, each presentation once; every pair up to 2^9
+    # elements, 20k seeded pairs above
     covers = {g.name: g for g in parse_catalog(COVERS_CAT.read_text())}
     tops = {name: g._top_bits for name, g in covers.items() if g._top is not None}
-    assert tops == {"Cover_R2_3_s1203": 5, "Cover_SG128_1376": 7, "Cover_R3_4_s304": 7}
+    assert tops == {
+        "Cover_R2_3_s1203": 5, "Cover_R3_3_s303": 6, "Cover_SG128_1376": 7,
+        "Cover_R3_4_s304": 7,
+    }
     assert cover_presentation(cat["G16384"]).cover._top is None
-    groups = list(covers.values()) + small_family
+    # x9^2 = x10 in the tail; C8 and C8 x C4 are all tail; the covers of
+    # C4 x C4 and C8 x C4 have H_2 = C4, so a powered tail generator
+    powered = [covers["Cover_R3_3_s303"], cat["C8"], cyclic_product([3, 2])]
+    powered += [cover_presentation(cyclic_product(e)).cover for e in ([2, 2], [3, 2])]
+    assert [(g._top_bits, g._top_xor) for g in powered] == [
+        (6, False), (0, False), (0, False), (4, False), (5, False)
+    ]
+    groups = list(covers.values()) + small_family + powered
     groups += [cover_presentation(g).cover for g in small_family + [rkm(*a) for a in RKM_LARGER]]
     # the rest run the collector itself, so there is nothing to compare
     groups = {(g.powers, g.comms): g for g in groups if g._top is not None}.values()
-    assert len(groups) >= 10
+    assert len(groups) >= 14
     rng = random.Random(RNG_SEED)
     for g in groups:
         slow = generic_copy(g)
@@ -148,12 +161,55 @@ def test_top_table_matches_collector(cat, small_family):
         for a in {a for a, _ in pairs}:
             assert g.square(a) == slow.square(a), g.name
             assert g.inv(a) == slow.inv(a), g.name
-        # each entry is the sentinel or the collector's product of the tops
-        s, top = g._top_bits, g._top
-        assert len(top) == 1 << 2 * s and max(top) >= 0, g.name
+        # each entry is the sentinel or the collector's a_t b_t, and in the
+        # conjugation table its h_t^-1 g_t h_t
+        s, mask, top, conj = g._top_bits, (1 << g._top_bits) - 1, g._top, g._conj_top
+        assert len(top) == len(conj) == 1 << 2 * s and min(max(top), max(conj)) >= 0, g.name
         for key, r in enumerate(top):
-            assert r == -1 or r == slow._mult(key >> s, key & (1 << s) - 1), g.name
+            assert r == -1 or r == slow._mult(key >> s, key & mask), g.name
+        for key, c in enumerate(conj):
+            gt, ht = key >> s, key & mask
+            assert c == -1 or c == slow.mult(slow.mult(slow.inv(ht), gt), ht), g.name
         assert _TailedGroup(g)._top is None, g.name
+
+
+def test_top_tables_hold_64_bit_words_from_32_generators():
+    # x1^2 = x2, x2^2 = [x1, x3] = x33: a top of 3 bits on 33 generators;
+    # few pairs, since the collector alone is slow on 33-bit elements
+    n = 33
+    comms = [[0] * n for _ in range(n)]
+    comms[0][2] = 1 << 32
+    wide = PcGroup("wide", n, [0b10, 1 << 32] + [0] * (n - 2), comms)
+    assert wide._top_bits == 3 and wide._top.typecode == "q"
+    slow = generic_copy(wide)
+    rng = random.Random(RNG_SEED)
+    for _ in range(300):
+        a, b = rng.randrange(wide.order), rng.randrange(wide.order)
+        assert wide.mult(a, b) == slow.mult(a, b)
+        assert wide.conj(a, b) == slow.conj(a, b)
+        assert wide.inv(a) == slow.inv(a)
+    assert wide._conj_top.typecode == "q" and max(wide._conj_top) >= 1 << 32
+
+
+def test_conjugation_table_is_allocated_on_first_use():
+    g = {g.name: g for g in parse_catalog(COVERS_CAT.read_text())}["Cover_R3_3_s303"]
+    g.mult(g.inv(3), 5)
+    assert g._top is not None and g._conj_top is None
+    g.conj(3, 5)
+    assert g._conj_top.typecode == g._top.typecode == "i"
+    assert len(g._conj_top) == len(g._top) and g._conj_top.count(-1) == len(g._top) - 1
+
+
+def test_tabulated_cover_walks_match_the_collector():
+    # Cover_R3_3_s303 has tables over its powered tail: the class walks and
+    # the witnesses on it are those of the collector alone
+    g = {g.name: g for g in parse_catalog(COVERS_CAT.read_text())}["Cover_R3_3_s303"]
+    slow = generic_copy(g)
+    assert g._top is not None
+    assert conjugacy_classes(g) == conjugacy_classes(slow)
+    assert list(class_centralizers(g)) == list(class_centralizers(slow))
+    fast_wh, slow_wh = h1_wh_prime(g), h1_wh_prime(slow)
+    assert fast_wh.witnesses == slow_wh.witnesses and fast_wh.rank == slow_wh.rank
 
 
 def test_top_table_keeps_validation():

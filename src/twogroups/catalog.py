@@ -170,17 +170,16 @@ class Fingerprint:
 
 
 def fingerprint(group: PcGroup) -> Fingerprint:
+    """Isomorphism invariants read off the classes; element order is a class
+    function, so orders are counted once per class, weighted by its size."""
     check_element_walk(group, "fingerprint")
     invariants = abelian_invariants(group)
     classes = conjugacy_classes(group)
     orders: Dict[int, int] = {}
-    exponent = 1
-    for g in group.elements():
-        o = group.element_order(g)
-        orders[o] = orders.get(o, 0) + 1
-        exponent = max(exponent, o)
     conj_inv = 0
     for cls in classes:
+        o = group.element_order(cls.rep)
+        orders[o] = orders.get(o, 0) + len(cls.elements)
         rep_inv_class = group.inv(cls.rep) in cls.elements
         if rep_inv_class:
             conj_inv += len(cls.elements)
@@ -189,7 +188,7 @@ def fingerprint(group: PcGroup) -> Fingerprint:
         abelian_invariants=invariants,
         center_order=sum(1 for c in classes if len(c.elements) == 1),
         derived_order=group.order // math.prod(invariants),
-        exponent=exponent,
+        exponent=max(orders),
         class_sizes=tuple(sorted(len(c.elements) for c in classes)),
         conj_to_inverse_count=conj_inv,
         order_profile=tuple(sorted(orders.items())),

@@ -23,6 +23,7 @@ from .pcgroup import (
     ScaleError,
     Subgroup,
     _inverse_conjugator_fast,
+    _span_elements,
     abelianization,
     center_transversal,
     central_lift,
@@ -61,6 +62,15 @@ class WhPrimeData:
         }
 
 
+def _residue_tables(span: Gf2Span, n: int) -> List[Tuple[int, List[int]]]:
+    """(shift, table) per byte of an n-bit g: span.reduce(g) is the XOR of
+    the table[g >> shift & 255], as reduction is GF(2)-linear."""
+    return [
+        (shift, _span_elements([span.reduce(1 << j) for j in range(shift, min(shift + 8, n))]))
+        for shift in range(0, n, 8)
+    ]
+
+
 def h1_wh_prime(group) -> WhPrimeData:
     """Rank r with H^1(Wh'(Z2^G)) isomorphic to (Z/2)^r.
 
@@ -69,10 +79,11 @@ def h1_wh_prime(group) -> WhPrimeData:
     coordinate c_j = 0 mod d_j/2), on both collectors; [G,G] is the
     abelianization's own.  Witnesses: on class-<=2 pc groups the GF(2)
     solve of `_inverse_conjugator_fast` once per coset g ^ [G,G] ([G,G] is
-    central of exponent 2, so (gc)^2 = g^2 and [gc, x_i] = [g, x_i]);
-    otherwise one `conjugacy_orbit` per class, under the d(G) Frattini
-    generators, in element order: if a_y^-1 r a_y = y for the class's first
-    element r, then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
+    central of exponent 2, so (gc)^2 = g^2 and [gc, x_i] = [g, x_i]), keyed
+    by g's residue mod [G,G] from `_residue_tables`; otherwise one
+    `conjugacy_orbit` per class, under the d(G) Frattini generators, in
+    element order: if a_y^-1 r a_y = y for the class's first element r,
+    then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
     C contains [G,G], so it is normal, and every g in S has g^2 in [G,G]:
     each newly witnessed g doubles C to C u Cg, which is how
     `elementary_coordinates` builds it on top of [G,G].
@@ -82,7 +93,7 @@ def h1_wh_prime(group) -> WhPrimeData:
     der = ab.derived
     fast = isinstance(group, PcGroup) and group.is_fast
     if fast:
-        der_span = Gf2Span(der.gens)
+        residues = _residue_tables(Gf2Span(der.gens), group.n)
         solved: Dict[int, Optional[int]] = {}
     gens = None if fast else frattini_generators(group)
     s_elems = ab.s_elements()
@@ -92,7 +103,9 @@ def h1_wh_prime(group) -> WhPrimeData:
         if g in der.elements:
             continue
         if fast:
-            key = der_span.reduce(g)
+            key = 0
+            for shift, table in residues:
+                key ^= table[g >> shift & 255]
             if key not in solved:
                 solved[key] = _inverse_conjugator_fast(group, g)
             h = solved[key]

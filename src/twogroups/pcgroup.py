@@ -21,7 +21,7 @@ cover, say).  With a = a_t a_k, a_t the bits below s and a_k the bits of
 K, a b = (a_t b_t) a_k b_k, a^-1 = a_t^-1 a_k^-1 and h^-1 g h =
 (h_t^-1 g_t h_t) g_k: one lookup T[a_t, b_t] or C[g_t, h_t] times the K
 parts, which multiply by XOR when K is elementary and by a short collection
-on K's bits otherwise.  When s <= CHUNK_BITS, T and C are flat tables of
+on K's bits otherwise.  When 0 < s <= CHUNK_BITS, T and C are flat tables of
 2^(2s) words, each entry filled on first use (`PcGroup._tabulate_top`).
 
 Groups are immutable after construction; every operation is a pure function
@@ -39,7 +39,7 @@ from itertools import accumulate
 from operator import xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import Gf2Span, gf2_kernel, iter_bits, smith_normal_form, transpose_masks
+from .linalg import Gf2Span, gf2_kernel, gf2_rref, iter_bits, smith_normal_form, transpose_masks
 
 Word = Sequence[Tuple[int, int]]  # (1-based generator index, exponent)
 
@@ -219,19 +219,21 @@ class PcGroup:
         K = <x_{s+1}, ..., x_n> for the least s at which every later
         generator commutes with every generator; `_top_xor` tells that they
         also have power 0 (not so for x9 in Cover_R3_3_s303, s = 6).  If
-        s <= CHUNK_BITS, `_top` gets 2^(2s) entries of -1, and entry
+        0 < s <= CHUNK_BITS, `_top` gets 2^(2s) entries of -1, and entry
         a_t << s | b_t is replaced by the collector's a_t b_t on first use
         (`mult`): filling whole rows is slower, since the class walks
         touch many rows but few entries in each.  `conj` allocates its
         table `_conj_top` alike.  Entries are 32-bit words below 32
         generators and 64-bit words up to 63 (both tables: at most 1 MB at
-        s = 8); groups on more generators keep the collector."""
+        s = 8); at s = 0 (C8) or on more generators the collector is kept."""
         n, s = self.n, self.n
         while s and not any(self.comms[s - 1]) and not any(row[s - 1] for row in self.comms):
             s -= 1
-        if s <= CHUNK_BITS and n < 64:
-            self._top_bits, self._top_mask = s, (1 << s) - 1
-            self._top_xor = not any(self.powers[s:])
+        # set even without a table, so that every generic group has one attribute
+        # layout: left unset on C8, the covers' walks ran about 10 % slower
+        self._top_bits, self._top_mask = s, (1 << s) - 1
+        self._top_xor = not any(self.powers[s:])
+        if 0 < s <= CHUNK_BITS and n < 64:
             self._top = array("i" if n < 32 else "q", [-1]) * (1 << 2 * s)
 
     def _tail_mult(self, r: int, k: int) -> int:
@@ -594,11 +596,13 @@ class ConjugacyClass:
 
 def conjugacy_classes(group) -> List[ConjugacyClass]:
     """Partition of the group into conjugacy classes with centralizer orders,
-    read off the one class walk (`_class_walk`)."""
+    read off the one class walk (`_class_walk`); the fast walk's members
+    come in `lexkey` order, the generic walk's are sorted."""
     check_element_walk(group, "conjugacy_classes")
+    fast = isinstance(group, PcGroup) and group.is_fast
     classes = []
     for _g, members, _gens in _class_walk(group, centralizers=False):
-        elements = tuple(sorted(members, key=group.lexkey))
+        elements = tuple(members if fast else sorted(members, key=group.lexkey))
         classes.append(ConjugacyClass(elements[0], elements, group.order // len(elements)))
     classes.sort(key=lambda c: group.lexkey(c.rep))
     return classes
@@ -621,8 +625,11 @@ def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
     Fast path: h -> [g, h] = F(g, h) ^ F(h, g) is GF(2)-linear in the bits
     of h, with image [g, G] spanned by the [g, x_i], and both depend only on
     the coset of g modulo the center (`center_span`), so they are built once
-    per coset.  The class of g is g ^ [g, G].  C_G(g) is exactly the kernel
-    K of h -> [g, h], and `gf2_kernel` gives a GF(2) basis of it that also
+    per coset, [g, G] as its `gf2_rref` basis.  The class of g is
+    r ^ [g, G], r the residue of g, 0 at every pivot (a lowest bit: the top
+    exponent of `lexkey`), so the span taken in descending pivot order lists
+    it in `lexkey` order from r.  C_G(g) is exactly the kernel K of
+    h -> [g, h], and `gf2_kernel` gives a GF(2) basis of it that also
     generates it as a group: let S be the bits that occur in relation
     values.  Each x_j, j in S, carries no relation of its own, so it is
     central, column j of the map is zero and the basis holds the unit vector
@@ -649,9 +656,13 @@ def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
             if key not in per_coset:
                 image = [group.comm(g, x) for x in group.generators]
                 gens = gf2_kernel(transpose_masks(image), group.n) if centralizers else None
-                per_coset[key] = (_span_elements(Gf2Span(image).basis()), gens)
+                per_coset[key] = (_span_elements(gf2_rref(image)[::-1]), gens)
             span, gens = per_coset[key]
-            members = [g ^ c for c in span]
+            r = g  # span[2^i] is basis row i
+            for i in range(len(span).bit_length() - 1):
+                b = span[1 << i]
+                r ^= b if r & b & -b else 0
+            members = [r ^ c for c in span]
             for m in members:
                 seen[m] = 1
             yield g, members, gens

@@ -36,14 +36,16 @@ from .pcgroup import (
     subquotient_invariants,
     tails_rows,
     trivial_subgroup,
+    wedge_pairs,
 )
 
 # cover_presentation: the tails matrix has about n^3/6 rows and n(n+1)/2
 # columns, and the cover's consistency check and its abelianized Smith form
 # grow with its generator count n + log2 |H_2(G)|; each is checked before
-# the work it sizes.  In-process on one 2-vCPU core (tails rows; with the
-# Smith form): R(14,6) seed 1 (n = 20, 1,284 x 210) 0.13-0.20 s, 1.4-1.9 s;
-# R(16,8) seed 1 (n = 24, 2,077 x 300) 0.45 s, 5.1 s; G16384 0.01 s, 0.1 s.
+# the work it sizes.  In-process on one 2-vCPU core (tails rows; their Smith
+# form): R(14,6) seed 1 (n = 20, 1,284 x 210) 0.17-0.21 s, 0.28-0.33 s;
+# R(16,8) seed 1 (n = 24, 2,077 x 300) 0.55 s, 0.96 s; G16384 0.01 s,
+# 0.02 s, and 0.14 s for the whole presentation.
 TAILS_GENS_BOUND = 20
 COVER_GENS_BOUND = 48
 # schur_cover lists the cover and closes its kernel element by element: at
@@ -361,12 +363,11 @@ def wedge_space(group) -> WedgeSpace:
 def commuting_wedge_span(group, wedge: WedgeSpace) -> Gf2Span:
     """GF(2) span of the wedges of classes of all commuting pairs.
 
-    [g] ^ [h] is linear in h on C_G(g) and unchanged by conjugating both, so
-    the pairs of `class_centralizers` span the same space (see
-    `commuting_wedges`)."""
+    [g] ^ [h] is bilinear, so the pairs of `wedge_pairs` span the same
+    space."""
     span = Gf2Span()
     seen_pairs = set()
-    for g, centralizer_gens in class_centralizers(group):
+    for g, centralizer_gens in wedge_pairs(group):
         u = wedge.class_mask(g)
         for h in centralizer_gens:
             v = wedge.class_mask(h)

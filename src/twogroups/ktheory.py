@@ -22,20 +22,20 @@ from .pcgroup import (
     PcGroup,
     ScaleError,
     Subgroup,
+    _byte_tables,
     _inverse_conjugator_fast,
-    _span_elements,
     abelianization,
     center_transversal,
     central_lift,
     central_quotient,
     check_element_walk,
-    class_centralizers,
     conjugacy_classes,
     conjugacy_orbit,
     conjugate_to_inverse_witness,
     derived_subgroup,
     frattini_generators,
     standard_subgroups,
+    wedge_pairs,
 )
 from .homology import CoverPresentation, cover_presentation
 
@@ -62,15 +62,6 @@ class WhPrimeData:
         }
 
 
-def _residue_tables(span: Gf2Span, n: int) -> List[Tuple[int, List[int]]]:
-    """(shift, table) per byte of an n-bit g: span.reduce(g) is the XOR of
-    the table[g >> shift & 255], as reduction is GF(2)-linear."""
-    return [
-        (shift, _span_elements([span.reduce(1 << j) for j in range(shift, min(shift + 8, n))]))
-        for shift in range(0, n, 8)
-    ]
-
-
 def h1_wh_prime(group) -> WhPrimeData:
     """Rank r with H^1(Wh'(Z2^G)) isomorphic to (Z/2)^r.
 
@@ -80,10 +71,10 @@ def h1_wh_prime(group) -> WhPrimeData:
     abelianization's own.  Witnesses: on class-<=2 pc groups the GF(2)
     solve of `_inverse_conjugator_fast` once per coset g ^ [G,G] ([G,G] is
     central of exponent 2, so (gc)^2 = g^2 and [gc, x_i] = [g, x_i]), keyed
-    by g's residue mod [G,G] from `_residue_tables`; otherwise one
-    `conjugacy_orbit` per class, under the d(G) Frattini generators, in
-    element order: if a_y^-1 r a_y = y for the class's first element r,
-    then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
+    by g's residue mod [G,G], read off `_byte_tables` as reduction is
+    GF(2)-linear; otherwise one `conjugacy_orbit` per class, under the d(G)
+    Frattini generators, in element order: if a_y^-1 r a_y = y for the
+    class's first element r, then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
     C contains [G,G], so it is normal, and every g in S has g^2 in [G,G]:
     each newly witnessed g doubles C to C u Cg, which is how
     `elementary_coordinates` builds it on top of [G,G].
@@ -93,7 +84,8 @@ def h1_wh_prime(group) -> WhPrimeData:
     der = ab.derived
     fast = isinstance(group, PcGroup) and group.is_fast
     if fast:
-        residues = _residue_tables(Gf2Span(der.gens), group.n)
+        span = Gf2Span(der.gens)
+        residues = _byte_tables([span.reduce(1 << j) for j in range(group.n)])
         solved: Dict[int, Optional[int]] = {}
     gens = None if fast else frattini_generators(group)
     s_elems = ab.s_elements()
@@ -127,15 +119,14 @@ def h1_wh_prime(group) -> WhPrimeData:
     return WhPrimeData(group, s_sub, c_sub, rank, witnesses)
 
 
-# sk1 walks every element for its class and centralizer generators, and
-# multiplies each (representative, generator) pair both ways in the cover.
-# A generic class of size c has at most c d(G) <= c n Schreier generators,
-# and a fast-path kernel basis at most n, so |G| n bounds the pair count
-# before anything is built.  On one 2-vCPU core: G16384 (2^14 x 14 =
-# 229,376 allowed, 48,800 actual pairs, a 42-generator cover) 1.4-1.7 s at
-# a 41 MB peak through the CLI; the class-3 cover of SG256_8129 (2^14,
-# generic collector) 2.0-2.8 s at a 66 MB peak in-process, its own cover
-# presentation included.
+# sk1 multiplies each pair of `wedge_pairs` both ways in the cover: on the
+# fast path at most n per center coset and n per basis element of Z(G), on
+# the generic path at most c d(G) <= c n Schreier generators for a class of
+# size c, so |G| n bounds the pair count before anything is built.  On one
+# 2-vCPU core: G16384 (2^14 x 14 = 229,376 allowed, 850 actual pairs, a
+# 42-generator cover) 0.37-0.42 s at a 27 MB peak through the CLI; the
+# class-3 cover of SG256_8129 (2^14, generic collector, 26,608 pairs)
+# 1.4-1.8 s at a 52 MB peak in-process, its own cover presentation included.
 SK1_PAIR_BOUND = 1 << 18
 
 
@@ -201,21 +192,21 @@ def sk1(group: PcGroup, cover: Optional[CoverPresentation] = None) -> SK1Data:
     """Abelian invariants of SK_1 of the 2-adic group ring of G, from the
     cover presentation alone: no cover element is listed.
 
-    The wedges [g~, h~] over the pairs (g, h) of `class_centralizers`, read
-    in kernel coordinates by `CoverPresentation.wedge`, generate the same
-    subgroup as those of all commuting pairs (see `commuting_wedges`, the
-    materialized oracle).
+    The wedges [g~, h~] over the pairs of `wedge_pairs`, read in kernel
+    coordinates by `CoverPresentation.wedge`, generate the same subgroup as
+    those of all commuting pairs (see `commuting_wedges`, the materialized
+    oracle over the pairs of `class_centralizers`).
 
     Scale bounds: |G| n <= SK1_PAIR_BOUND, the element walk of
-    `class_centralizers`, and those of `cover_presentation`, all checked
-    before the walk or the cover begins.
+    `wedge_pairs`, and those of `cover_presentation`, all checked before
+    the walk or the cover begins.
     """
     check_sk1_pairs(group)
-    walk = class_centralizers(group)
+    pairs = list(wedge_pairs(group))
     if cover is None:
         cover = cover_presentation(group)
     d = cover.h2_invariants
-    wedges = {cover.wedge(g, h) for g, gens in walk for h in gens}
+    wedges = {cover.wedge(g, h) for g, hs in pairs for h in hs}
     rows = [[m if i == j else 0 for j in range(len(d))] for i, m in enumerate(d)]
     rows += sorted(wedges)
     diag, v, _vinv = smith_normal_form(rows, 2 * group.order)

@@ -144,6 +144,12 @@ def elementary_coordinates(
     return basis, table
 
 
+def _fields(x: int, count: int, nbytes: int) -> List[int]:
+    """The count fields of nbytes bytes each in x, least significant first."""
+    data = x.to_bytes(count * nbytes, "little")
+    return [int.from_bytes(data[p:p + nbytes], "little") for p in range(0, len(data), nbytes)]
+
+
 def smith_normal_form(
     matrix: Sequence[Sequence[int]], modulus: int
 ) -> Tuple[List[int], List[List[int]], List[List[int]]]:
@@ -158,51 +164,64 @@ def smith_normal_form(
     part plus a 2-group of exponent below modulus, diag is its Smith form
     with the free columns at the zeros, exactly.
 
-    Each step pivots on an entry of least 2-adic valuation, scales its odd
-    part away (a unit), and clears its column by row operations and its row
-    by column operations.  Valuations never drop, so no repair pass follows.
+    Each step pivots on an entry of least 2-adic valuation (the first row
+    holding one, then its first column), scales its odd part away (a unit),
+    and clears its column by row operations and its row by column
+    operations.  Valuations never drop, so no repair pass follows.
+
+    With modulus 2^b, a row of A is one int of w-bit fields, w >= 2b + 1 in
+    whole bytes, column j in field cols - 1 - j, so the first nonzero column
+    is read off bit_length; V is packed by columns, Vinv by rows.  Fields
+    stay below 2^b, so x + q y (q < 2^b) carries out of no field: a row
+    operation is one multiply-add with the negated row, and one mask.  An
+    entry of valuation <= v has a bit of pat[v] set.
     """
     if modulus < 2 or modulus & (modulus - 1):
         raise ValueError(f"modulus must be a power of two >= 2, got {modulus}")
-    mask = modulus - 1
-    a = [[x & mask for x in row] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    vinv = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    mask, bits = modulus - 1, modulus.bit_length() - 1
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    nbytes = (2 * bits + 8) // 8
+    w = 8 * nbytes
+    ones = sum(1 << (p * w) for p in range(cols))
+    low, over = ones * mask, ones * modulus
+    pat = [ones * ((2 << v) - 1) for v in range(bits)]
+    last = cols - 1
+    a = [sum((x & mask) << (last - j) * w for j, x in enumerate(row) if x) for row in matrix]
+    v = [1 << (j * w) for j in range(cols)]
+    vinv = list(v)
     diag = [0] * cols
     for k in range(min(rows, cols)):
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                x = a[i][j]
-                if x and (best is None or x & -x < best[0]):
-                    best = (x & -x, i, j)
-            if best is not None and best[0] == 1:
-                break  # a unit: no later entry has lower valuation
-        if best is None:
+        hits = ((val, i) for val, p in enumerate(pat) for i in range(k, rows) if a[i] & p)
+        val, i = next(hits, (0, None))
+        if i is None:
             break
-        pivot, i, j = best
+        j = last - ((a[i] & pat[val]).bit_length() - 1) // w
         a[i], a[k] = a[k], a[i]
+        shift = (last - k) * w
         if j != k:
-            for row in a:
-                row[j], row[k] = row[k], row[j]
-            for row in v:
-                row[j], row[k] = row[k], row[j]
+            sj = (last - j) * w
+            for i in range(k, rows):
+                r = a[i]
+                x = ((r >> shift) ^ (r >> sj)) & mask
+                if x:
+                    a[i] = r ^ (x << shift | x << sj)
+            v[j], v[k] = v[k], v[j]
             vinv[j], vinv[k] = vinv[k], vinv[j]
-        shift = pivot.bit_length() - 1
-        unit = pow(a[k][k] >> shift, -1, modulus)
-        top = a[k] = [x * unit & mask for x in a[k]]
+        unit = pow(a[k] >> shift >> val, -1, modulus)
+        top = a[k] * unit & low
+        neg = (over - top) & low
         for i in range(k + 1, rows):
-            q = a[i][k] >> shift
+            r = a[i]
+            if r.bit_length() > shift:
+                a[i] = (r + (r >> shift + val) * neg) & low
+        neg_vk, vk = (over - v[k]) & low, vinv[k]
+        for j, x in enumerate(reversed(_fields(top & (1 << shift) - 1, last - k, nbytes)), k + 1):
+            q = x >> val
             if q:
-                a[i] = [(x - q * y) & mask for x, y in zip(a[i], top)]
-        for j in range(k + 1, cols):
-            q = top[j] >> shift
-            if q:
-                top[j] = 0
-                for row in v:
-                    row[j] = (row[j] - q * row[k]) & mask
-                vinv[k] = [(x + q * y) & mask for x, y in zip(vinv[k], vinv[j])]
-        diag[k] = pivot
-    return diag, v, vinv
+                v[j] = (v[j] + q * neg_vk) & low
+                vk = (vk + q * vinv[j]) & low
+        vinv[k] = vk
+        diag[k] = 1 << val
+    v_cols = [_fields(c, cols, nbytes) for c in v]
+    return diag, [list(r) for r in zip(*v_cols)], [_fields(r, cols, nbytes) for r in vinv]

@@ -124,6 +124,7 @@ class PcGroup:
         self._fast = self._detect_fast_path()
         self._top: Optional[array] = None
         self._conj_top: Optional[array] = None
+        self._comm_tables: Optional[List[Tuple[int, List[int]]]] = None
         if self._fast:
             self._tabulate()
         else:
@@ -218,17 +219,21 @@ class PcGroup:
 
         K = <x_{s+1}, ..., x_n> for the least s at which every later
         generator commutes with every generator; `_top_xor` tells that they
-        also have power 0 (not so for x9 in Cover_R3_3_s303, s = 6).  If
+        also have power 0 (not so for x9 in Cover_R3_3_s303, s = 6).  When
+        that leaves s = 0 (every generator central, as in C8), K is the
+        elementary tail instead: the trailing generators of power 0.  If
         0 < s <= CHUNK_BITS, `_top` gets 2^(2s) entries of -1, and entry
         a_t << s | b_t is replaced by the collector's a_t b_t on first use
         (`mult`): filling whole rows is slower, since the class walks
         touch many rows but few entries in each.  `conj` allocates its
         table `_conj_top` alike.  Entries are 32-bit words below 32
         generators and 64-bit words up to 63 (both tables: at most 1 MB at
-        s = 8); at s = 0 (C8) or on more generators the collector is kept."""
+        s = 8); at s = 0 or on more generators the collector is kept."""
         n, s = self.n, self.n
         while s and not any(self.comms[s - 1]) and not any(row[s - 1] for row in self.comms):
             s -= 1
+        if not s:  # all central: up to the last powered generator
+            s = max((i + 1 for i, p in enumerate(self.powers) if p), default=0)
         # set even without a table, so that every generic group has one attribute
         # layout: left unset on C8, the covers' walks ran about 10 % slower
         self._top_bits, self._top_mask = s, (1 << s) - 1
@@ -350,6 +355,22 @@ class PcGroup:
         if self._fast:
             return self._form(a, b) ^ self._form(b, a)
         return self.mult(self.mult(self.inv(self.mult(b, a)), a), b)
+
+    def comm_images(self, g: int) -> List[int]:
+        """[g, x_i] for every pc generator x_i.  Fast path: g -> [g, x_i] is
+        GF(2)-linear (F is bilinear), so the n values, packed n bits apart,
+        are the XOR of one entry per byte of g in tables spanned by the
+        packed [x_b, x_i]."""
+        if not self._fast:
+            return [self.comm(g, x) for x in self.generators]
+        n, tables = self.n, self._comm_tables
+        if tables is None:
+            rows = [sum(self.comm(1 << b, 1 << i) << i * n for i in range(n)) for b in range(n)]
+            tables = self._comm_tables = _byte_tables(rows)
+        packed = 0
+        for shift, table in tables:
+            packed ^= table[g >> shift & 255]
+        return [packed >> i * n & self.order - 1 for i in range(n)]
 
     @property
     def identity(self) -> int:
@@ -617,6 +638,27 @@ def class_centralizers(group) -> Iterator[Tuple[int, List[int]]]:
     return ((g, gens) for g, _members, gens in _class_walk(group, centralizers=True))
 
 
+def wedge_pairs(group) -> Iterator[Tuple[int, List[int]]]:
+    """(g, hs) whose commuting pairs (g, h), h in hs, have wedges that
+    generate those of all commuting pairs: w(g, h) = [g~, h~] in a central
+    extension (`ktheory.sk1`), or [g] ^ [h] in Lambda^2 G^ab.  Generic
+    path: `class_centralizers`.  Fast path: (t, the `gf2_kernel` basis of
+    h -> [t, h], which generates C_G(t) as `_class_walk` argues) for t != 1
+    in `center_transversal`, then (z, the pc generators) for z in the
+    `center_span` basis of Z(G).  w is additive in each argument on
+    commuting pairs ([ab, h] = [a, h]^b [b, h], [a~, h~] central); every g
+    is t z with z central, so C_G(g) = C_G(t), w(g, h) = w(t, h) + w(z, h),
+    and w(z, h) is additive in z on Z(G) and in h on all of G = C_G(z)."""
+    if not (isinstance(group, PcGroup) and group.is_fast):
+        yield from class_centralizers(group)
+        return
+    check_element_walk(group, "wedge_pairs")
+    for t in center_transversal(group)[1:]:
+        yield t, gf2_kernel(transpose_masks(group.comm_images(t)), group.n)
+    for z in center_span(group).basis():
+        yield z, group.generators
+
+
 def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
     """The one pass over the conjugacy classes, in element order of each
     class's first member g: yields (g, the members of its class, generators
@@ -654,7 +696,7 @@ def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
                 continue
             key = center.reduce(g)
             if key not in per_coset:
-                image = [group.comm(g, x) for x in group.generators]
+                image = group.comm_images(g)
                 gens = gf2_kernel(transpose_masks(image), group.n) if centralizers else None
                 per_coset[key] = (_span_elements(gf2_rref(image)[::-1]), gens)
             span, gens = per_coset[key]
@@ -719,7 +761,7 @@ def center_span(group: PcGroup) -> Gf2Span:
     kernel Z(G), so `reduce` of this span keys the center coset of g.
     rows[j] packs the [x_j, x_i], n bits per i."""
     n = group.n
-    rows = [sum(group.comm(1 << j, 1 << i) << (i * n) for i in range(n)) for j in range(n)]
+    rows = [sum(c << i * n for i, c in enumerate(group.comm_images(1 << j))) for j in range(n)]
     return Gf2Span(gf2_kernel(transpose_masks(rows), n))
 
 
@@ -759,6 +801,12 @@ def _span_elements(basis: List[int]) -> List[int]:
     return out
 
 
+def _byte_tables(images: List[int]) -> List[Tuple[int, List[int]]]:
+    """(shift, table) per byte of g for the GF(2)-linear map sending bit j
+    to images[j]: its value at g is the XOR of the table[g >> shift & 255]."""
+    return [(shift, _span_elements(images[shift:shift + 8])) for shift in range(0, len(images), 8)]
+
+
 def conjugate_to_inverse_witness(group, g: int) -> Optional[int]:
     """Element h with h^-1 g h = g^-1, or None if g is not conjugate to g^-1."""
     if isinstance(group, PcGroup) and group.is_fast:
@@ -770,7 +818,7 @@ def _inverse_conjugator_fast(group: PcGroup, g: int) -> Optional[int]:
     """Fast path: g^-1 = g * g^-2 and the conjugates of g are g * [g, G], so
     solve for g^-2 = g^2 (central of order <= 2 here) in the GF(2) span of
     the [g, x_i] and multiply out the generators of the combination."""
-    span = Gf2Span(group.comm(g, x) for x in group.generators)
+    span = Gf2Span(group.comm_images(g))
     combo = span.solve(group.square(g))
     if combo is None:
         return None

@@ -3,7 +3,7 @@
 cli_golden.json holds one record per call: the arguments, the exit code,
 and either the report with timing_ms removed or, for a failing call, its
 stderr.  info, search-ext, lambda4 and conj62 of G16384 are kept although
-they take about 1 s each.  sk1 of G16384 (about 5 s) runs in a child
+they take about 1 s each.  sk1 of G16384 (about 0.4 s) runs in a child
 process with a 60 s timeout, so that a slower route fails the test instead
 of hanging it.  selftest_golden.json holds the selftest --json report with
 its timings ("seconds", "elapsed_s") removed.

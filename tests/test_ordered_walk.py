@@ -17,10 +17,11 @@ import pytest
 
 from conftest import RKM_LARGER, GenericView, rkm
 from twogroups.catalog import fingerprint, parse_catalog
-from twogroups.ktheory import _residue_tables, h1_wh_prime
+from twogroups.ktheory import h1_wh_prime
 from twogroups.linalg import Gf2Span, gf2_kernel, transpose_masks
 from twogroups.pcgroup import (
     PcGroup,
+    _byte_tables,
     _span_elements,
     abelianization,
     center_span,
@@ -129,7 +130,7 @@ def test_h1_wh_prime_residue_tables_match_reduce(small_family):
     assert max(g.n for g in groups) > 8
     for g in groups:
         span = Gf2Span(abelianization(g).derived.gens)
-        tables = _residue_tables(span, g.n)
+        tables = _byte_tables([span.reduce(1 << j) for j in range(g.n)])
         for x in g.elements():
             key = 0
             for shift, table in tables:

@@ -135,14 +135,15 @@ def test_top_table_matches_collector(cat, small_family):
         "Cover_R3_4_s304": 7,
     }
     assert cover_presentation(cat["G16384"]).cover._top is None
-    # x9^2 = x10 in the tail; C8 and C8 x C4 are all tail (s = 0), so they
-    # keep the collector; the covers of C4 x C4 and C8 x C4 have H_2 = C4,
-    # so a powered tail generator
-    assert cat["C8"]._top is None and cyclic_product([3, 2])._top is None
+    # x9^2 = x10 in the tail; C8 and C8 x C4 are all central, so they take
+    # the elementary tail (x3; x5); the covers of C4 x C4 and C8 x C4 have
+    # H_2 = C4, so a powered tail generator
+    abelian = [cat["C8"], cyclic_product([3, 2])]
+    assert [(g._top_bits, g._top_xor) for g in abelian] == [(2, True), (4, True)]
     powered = [covers["Cover_R3_3_s303"]]
     powered += [cover_presentation(cyclic_product(e)).cover for e in ([2, 2], [3, 2])]
     assert [(g._top_bits, g._top_xor) for g in powered] == [(6, False), (4, False), (5, False)]
-    groups = list(covers.values()) + small_family + powered
+    groups = list(covers.values()) + small_family + abelian + powered
     groups += [cover_presentation(g).cover for g in small_family + [rkm(*a) for a in RKM_LARGER]]
     # the rest run the collector itself, so there is nothing to compare
     groups = {(g.powers, g.comms): g for g in groups if g._top is not None}.values()

@@ -31,7 +31,6 @@ from .pcgroup import (
     Subgroup,
     abelian_invariants,
     abelianization,
-    class_centralizers,
     subgroup,
     subquotient_invariants,
     tails_rows,
@@ -251,14 +250,12 @@ def commuting_wedges(group: PcGroup, cover: CoverData) -> Subgroup:
     commuting pairs; the lift choice is immaterial because the kernel is
     central: a group element lifts to the cover element with the same bits.
 
-    Centrality also makes h -> [g~, h~] a homomorphism from C_G(g) into the
-    kernel, and [g~^x, h~^x] = [g~, h~]; so the pairs (class representative,
-    centralizer generator) of `class_centralizers` generate the same
-    subgroup as all commuting pairs."""
+    Centrality also makes [g~, h~] additive in g and in h on commuting
+    pairs, and [g~^x, h~^x] = [g~, h~]; so the pairs of `wedge_pairs`
+    generate the same subgroup as all commuting pairs (`commuting_pairs`,
+    the test oracle)."""
     sc = cover.cover
-    sub = subgroup(
-        sc, (sc.comm(g, h) for g, gens in class_centralizers(group) for h in gens)
-    )
+    sub = subgroup(sc, (sc.comm(g, h) for g, hs in wedge_pairs(group) for h in hs))
     if not sub.elements <= cover.stem_part.elements:
         raise PcError("commuting wedges escaped the stem part")
     return sub

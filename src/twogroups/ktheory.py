@@ -82,7 +82,7 @@ def h1_wh_prime(group) -> WhPrimeData:
     check_element_walk(group, "h1_wh_prime")
     ab = abelianization(group)
     der = ab.derived
-    fast = isinstance(group, PcGroup) and group.is_fast
+    fast = group.is_fast
     if fast:
         span = Gf2Span(der.gens)
         residues = _byte_tables([span.reduce(1 << j) for j in range(group.n)])
@@ -120,13 +120,15 @@ def h1_wh_prime(group) -> WhPrimeData:
 
 
 # sk1 multiplies each pair of `wedge_pairs` both ways in the cover: on the
-# fast path at most n per center coset and n per basis element of Z(G), on
-# the generic path at most c d(G) <= c n Schreier generators for a class of
-# size c, so |G| n bounds the pair count before anything is built.  On one
-# 2-vCPU core: G16384 (2^14 x 14 = 229,376 allowed, 850 actual pairs, a
-# 42-generator cover) 0.37-0.42 s at a 27 MB peak through the CLI; the
-# class-3 cover of SG256_8129 (2^14, generic collector, 26,608 pairs)
-# 1.4-1.8 s at a 52 MB peak in-process, its own cover presentation included.
+# fast path at most n per center coset and n per basis element of Z(G); on
+# the generic path at most c d(G) Schreier generators for each class of
+# size c outside Z(G), the classes disjoint, and n per generator of Z(G),
+# so (|G| - |Z|) d(G) + n log2 |Z| <= |G| n.  That bounds the pair count
+# before anything is built.  On one 2-vCPU core: G16384 (2^14 x 14 =
+# 229,376 allowed, 850 actual pairs, a 42-generator cover) 0.41-0.46 s at a
+# 27 MB peak through the CLI; the class-3 cover of SG256_8129 (2^14,
+# generic collector, 9,328 pairs) 0.6-1.5 s at a 38 MB peak in-process,
+# its own cover presentation included.
 SK1_PAIR_BOUND = 1 << 18
 
 
@@ -194,8 +196,8 @@ def sk1(group: PcGroup, cover: Optional[CoverPresentation] = None) -> SK1Data:
 
     The wedges [g~, h~] over the pairs of `wedge_pairs`, read in kernel
     coordinates by `CoverPresentation.wedge`, generate the same subgroup as
-    those of all commuting pairs (see `commuting_wedges`, the materialized
-    oracle over the pairs of `class_centralizers`).
+    those of all commuting pairs (`wedge_pairs` gives the argument;
+    `commuting_wedges` closes the same pairs in the listed cover).
 
     Scale bounds: |G| n <= SK1_PAIR_BOUND, the element walk of
     `wedge_pairs`, and those of `cover_presentation`, all checked before

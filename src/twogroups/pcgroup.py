@@ -528,8 +528,9 @@ def _relation_echelon(group) -> Dict[int, int]:
 # ---------------------------------------------------------------------------
 # Generic finite-group layer: subgroups, conjugacy, homomorphisms.  These
 # take any group with the operations of PcGroup (identity, elements,
-# generators, mult, inv, square, conj, comm, lexkey) on int elements, and
-# its presentation (n, powers, comms) for `frattini_generators`.
+# generators, mult, inv, square, conj, comm, lexkey) on int elements, its
+# presentation (n, powers, comms) for `frattini_generators`, and `is_fast`,
+# true only on a PcGroup whose class-<=2 paths (comm_images) may be taken.
 # ---------------------------------------------------------------------------
 
 
@@ -617,117 +618,108 @@ class ConjugacyClass:
 
 def conjugacy_classes(group) -> List[ConjugacyClass]:
     """Partition of the group into conjugacy classes with centralizer orders,
-    read off the one class walk (`_class_walk`); the fast walk's members
-    come in `lexkey` order, the generic walk's are sorted."""
+    in one pass over the elements that starts a class at each element not
+    yet listed; the classes are ordered by `lexkey` of their least member.
+
+    Fast path: h -> [g, h] = F(g, h) ^ F(h, g) is GF(2)-linear in the bits
+    of h, with image [g, G] spanned by the [g, x_i], and both depend only on
+    the coset of g modulo the center (`center_span`), so [g, G] is built
+    once per coset, as its `gf2_rref` basis.  The class of g is r ^ [g, G],
+    r the residue of g, 0 at every pivot (a lowest bit: the top exponent of
+    `lexkey`), so the span taken in descending pivot order lists it in
+    `lexkey` order from r and no class is sorted.  Generic path: one
+    `conjugacy_orbit` per class, under the d(G) elements of
+    `frattini_generators`, its members sorted."""
     check_element_walk(group, "conjugacy_classes")
-    fast = isinstance(group, PcGroup) and group.is_fast
     classes = []
-    for _g, members, _gens in _class_walk(group, centralizers=False):
-        elements = tuple(members if fast else sorted(members, key=group.lexkey))
-        classes.append(ConjugacyClass(elements[0], elements, group.order // len(elements)))
+    if group.is_fast:
+        center = center_span(group)
+        spans: Dict[int, List[int]] = {}
+        listed = bytearray(group.order)
+        for g in range(group.order):
+            if listed[g]:
+                continue
+            key = center.reduce(g)
+            if key not in spans:
+                spans[key] = _span_elements(gf2_rref(group.comm_images(g))[::-1])
+            span = spans[key]
+            r = g  # span[2^i] is basis row i
+            for i in range(len(span).bit_length() - 1):
+                b = span[1 << i]
+                r ^= b if r & b & -b else 0
+            members = tuple(r ^ c for c in span)
+            for m in members:
+                listed[m] = 1
+            classes.append(ConjugacyClass(r, members, group.order // len(members)))
+    else:
+        gens = frattini_generators(group)
+        seen = set()
+        for g in group.elements():
+            if g in seen:
+                continue
+            orbit = conjugacy_orbit(group, g, _gens=gens)
+            seen.update(orbit)
+            members = tuple(sorted(orbit, key=group.lexkey))
+            classes.append(ConjugacyClass(members[0], members, group.order // len(members)))
     classes.sort(key=lambda c: group.lexkey(c.rep))
     return classes
-
-
-def class_centralizers(group) -> Iterator[Tuple[int, List[int]]]:
-    """One (g, gens) per conjugacy class, in element order of the first
-    member g, with subgroup(group, gens) = C_G(g) and no identity or repeat
-    in gens; read off the one class walk (`_class_walk`).  The walk visits
-    every element, so the element-walk bound is checked at the call."""
-    check_element_walk(group, "class_centralizers")
-    return ((g, gens) for g, _members, gens in _class_walk(group, centralizers=True))
 
 
 def wedge_pairs(group) -> Iterator[Tuple[int, List[int]]]:
     """(g, hs) whose commuting pairs (g, h), h in hs, have wedges that
     generate those of all commuting pairs: w(g, h) = [g~, h~] in a central
-    extension (`ktheory.sk1`), or [g] ^ [h] in Lambda^2 G^ab.  Generic
-    path: `class_centralizers`.  Fast path: (t, the `gf2_kernel` basis of
-    h -> [t, h], which generates C_G(t) as `_class_walk` argues) for t != 1
-    in `center_transversal`, then (z, the pc generators) for z in the
-    `center_span` basis of Z(G).  w is additive in each argument on
-    commuting pairs ([ab, h] = [a, h]^b [b, h], [a~, h~] central); every g
-    is t z with z central, so C_G(g) = C_G(t), w(g, h) = w(t, h) + w(z, h),
-    and w(z, h) is additive in z on Z(G) and in h on all of G = C_G(z)."""
-    if not (isinstance(group, PcGroup) and group.is_fast):
-        yield from class_centralizers(group)
-        return
+    extension (`ktheory.sk1`), or [g] ^ [h] in Lambda^2 G^ab.  The pairs are
+    (t, generators of C_G(t)) for t != 1 in `center_transversal`, skipping a
+    t whose class an earlier t's walk listed, then (z, the pc generators)
+    for z in a generating set of Z(G).
+
+    w is additive in each argument on commuting pairs ([ab, h] =
+    [a, h]^b [b, h], [a~, h~] central); every g is t z with z central, so
+    C_G(g) = C_G(t), w(g, h) = w(t, h) + w(z, h), and w(z, h) is additive in
+    z on Z(G) and in h on all of G = C_G(z).  Also w(t^a, h^a) = w(t, h),
+    so a t conjugate to one already taken adds nothing.  Only the
+    generators of C_G(t) depend on the collector:
+
+    Fast path: the `gf2_kernel` basis of h -> [t, h], whose kernel is
+    C_G(t).  It also generates C_G(t) as a group: let S be the bits that
+    occur in relation values.  Each x_j, j in S, carries no relation of its
+    own, so it is central, column j of the map is zero and the basis holds
+    the unit vector e_j.  For h in the kernel written as the XOR
+    b_1 ^ ... ^ b_k of basis vectors, the product p = b_1 ... b_k differs
+    from h by an XOR z of F values, all of whose bits lie in S; F(z, .) = 0,
+    so p z = p ^ z = h, and z is a product of the e_j in the basis.  Every
+    class lies in one coset of Z(G) here, so no t is skipped.
+
+    Generic path: the walk `conjugacy_orbit` of t records its steps
+    (y, x, y^x), and the distinct non-identity Schreier generators
+    a_y x a_{y^x}^-1 generate C_G(t) (Schreier's lemma needs only some
+    generating set of G: Holt, Eick and O'Brien, Handbook of CGT, 4.1).
+    The walked classes are disjoint and miss Z(G), and a class of size c
+    gives at most c d(G) generators, so there are at most
+    (|G| - |Z(G)|) d(G) + n log2 |Z(G)| pairs in all."""
     check_element_walk(group, "wedge_pairs")
-    for t in center_transversal(group)[1:]:
-        yield t, gf2_kernel(transpose_masks(group.comm_images(t)), group.n)
-    for z in center_span(group).basis():
-        yield z, group.generators
-
-
-def _class_walk(group, centralizers: bool) -> Iterator[tuple]:
-    """The one pass over the conjugacy classes, in element order of each
-    class's first member g: yields (g, the members of its class, generators
-    of C_G(g) if `centralizers` else None).
-
-    Fast path: h -> [g, h] = F(g, h) ^ F(h, g) is GF(2)-linear in the bits
-    of h, with image [g, G] spanned by the [g, x_i], and both depend only on
-    the coset of g modulo the center (`center_span`), so they are built once
-    per coset, [g, G] as its `gf2_rref` basis.  The class of g is
-    r ^ [g, G], r the residue of g, 0 at every pivot (a lowest bit: the top
-    exponent of `lexkey`), so the span taken in descending pivot order lists
-    it in `lexkey` order from r.  C_G(g) is exactly the kernel K of
-    h -> [g, h], and `gf2_kernel` gives a GF(2) basis of it that also
-    generates it as a group: let S be the bits that occur in relation
-    values.  Each x_j, j in S, carries no relation of its own, so it is
-    central, column j of the map is zero and the basis holds the unit vector
-    e_j.  For h in K written as the XOR b_1 ^ ... ^ b_k of basis vectors,
-    the product p = b_1 ... b_k differs from h by an XOR z of F values, all
-    of whose bits lie in S; F(z, .) = 0, so p z = p ^ z = h, and z is a
-    product of the e_j in the basis.
-
-    Generic path: one `conjugacy_orbit` per class, under the d(G) elements
-    of `frattini_generators`.  For the centralizer it records the walk's
-    steps (y, x, y^x), and the distinct non-identity Schreier generators
-    t_y x t_{y^x}^-1 generate C_G(g) (Schreier's lemma needs only some
-    generating set of G: Holt, Eick and O'Brien, Handbook of CGT, 4.1), so
-    a class of size c gives at most c d(G) of them; the classes alone skip
-    those products."""
-    if isinstance(group, PcGroup) and group.is_fast:
-        center = center_span(group)
-        per_coset: Dict[int, Tuple[List[int], Optional[List[int]]]] = {}
-        seen = bytearray(group.order)
-        for g in range(group.order):
-            if seen[g]:
+    if group.is_fast:
+        for t in center_transversal(group)[1:]:
+            yield t, gf2_kernel(transpose_masks(group.comm_images(t)), group.n)
+        center = center_span(group).basis()
+    else:
+        gens = frattini_generators(group)
+        walked = set()
+        for t in center_transversal(group)[1:]:
+            if t in walked:
                 continue
-            key = center.reduce(g)
-            if key not in per_coset:
-                image = group.comm_images(g)
-                gens = gf2_kernel(transpose_masks(image), group.n) if centralizers else None
-                per_coset[key] = (_span_elements(gf2_rref(image)[::-1]), gens)
-            span, gens = per_coset[key]
-            r = g  # span[2^i] is basis row i
-            for i in range(len(span).bit_length() - 1):
-                b = span[1 << i]
-                r ^= b if r & b & -b else 0
-            members = [r ^ c for c in span]
-            for m in members:
-                seen[m] = 1
-            yield g, members, gens
-        return
-    identity = group.identity
-    gens = frattini_generators(group)
-    seen = set()
-    for g in group.elements():
-        if g in seen:
-            continue
-        steps = [] if centralizers else None
-        orbit = conjugacy_orbit(group, g, _steps=steps, _gens=gens)
-        seen.update(orbit)
-        if steps is None:
-            yield g, orbit, None
-            continue
-        t_inv = {y: group.inv(t) for y, t in orbit.items()}
-        schreier: Dict[int, None] = {}
-        for y, x, z in steps:
-            s = group.mult(group.mult(orbit[y], x), t_inv[z])
-            if s != identity:
-                schreier[s] = None
-        yield g, orbit, list(schreier)
+            steps = []
+            orbit = conjugacy_orbit(group, t, _steps=steps, _gens=gens)
+            walked.update(orbit)
+            a_inv = {y: group.inv(a) for y, a in orbit.items()}
+            schreier = dict.fromkeys(
+                group.mult(group.mult(orbit[y], x), a_inv[z]) for y, x, z in steps
+            )
+            schreier.pop(group.identity, None)
+            yield t, list(schreier)
+        center = subgroup(group, _center(group)).gens
+    for z in center:
+        yield z, group.generators
 
 
 def conjugacy_orbit(
@@ -736,9 +728,10 @@ def conjugacy_orbit(
     """The class of g as {y: t} with t^-1 g t = y: a breadth-first orbit walk
     under conjugation by the d(G) elements of `frattini_generators`, which
     generate G, so the orbit is the whole class; it records one transporter
-    per element (Holt, Eick and O'Brien, Handbook of CGT, 4.1).  The class
-    walk passes a list as `_steps` to receive every step (y, x, y^x); a
-    walk over many classes passes the generators once as `_gens`."""
+    per element (Holt, Eick and O'Brien, Handbook of CGT, 4.1).
+    `wedge_pairs` passes a list as `_steps` to receive every step
+    (y, x, y^x); a walk over many classes passes the generators once as
+    `_gens`."""
     gens = frattini_generators(group) if _gens is None else _gens
     orbit = {g: group.identity}
     frontier = [g]
@@ -770,18 +763,20 @@ def center_transversal(group) -> List[int]:
 
     [g, x] = [g', x] for every x in a generating set exactly when g'g^-1 is
     central, so the generic walk keys g by its commutators with
-    `frattini_generators` and keeps the first element of each key.  Fast
+    `frattini_generators`, each read as g^-1 (x^-1 g x) through the
+    conjugation table, and keeps the first element of each key.  Fast
     path: Z(G) is a GF(2) subspace of the bit vectors and g Z(G) = g ^ Z(G).
     Take an echelon basis of Z(G) keyed by highest set bit: each coset has
     one element that is 0 at every pivot bit, and it is the least, since
     adding a nonzero central element sets the highest pivot among its terms
     and no higher bit.  The transversal is every element on the other
     bits."""
-    if not (isinstance(group, PcGroup) and group.is_fast):
+    if not group.is_fast:
         gens = frattini_generators(group)
         keys: Dict[Tuple[int, ...], int] = {}
         for g in group.elements():
-            keys.setdefault(tuple(group.comm(g, x) for x in gens), g)
+            g_inv = group.inv(g)
+            keys.setdefault(tuple([group.mult(g_inv, group.conj(g, x)) for x in gens]), g)
         return list(keys.values())
     lead: Dict[int, int] = {}
     for z in center_span(group).basis():
@@ -809,7 +804,7 @@ def _byte_tables(images: List[int]) -> List[Tuple[int, List[int]]]:
 
 def conjugate_to_inverse_witness(group, g: int) -> Optional[int]:
     """Element h with h^-1 g h = g^-1, or None if g is not conjugate to g^-1."""
-    if isinstance(group, PcGroup) and group.is_fast:
+    if group.is_fast:
         return _inverse_conjugator_fast(group, g)
     return conjugacy_orbit(group, g).get(group.inv(g))
 
@@ -835,18 +830,19 @@ class StandardSubgroups:
     center_cap_derived: Subgroup
 
 
+def _center(group) -> List[int]:
+    """Z(G): on the fast path the span of the kernel basis of `center_span`;
+    otherwise every element, ascending, that conjugation by each of
+    `frattini_generators` fixes."""
+    if group.is_fast:
+        return _span_elements(center_span(group).basis())
+    gens = frattini_generators(group)
+    return [g for g in group.elements() if all(group.conj(g, x) == g for x in gens)]
+
+
 def standard_subgroups(group) -> StandardSubgroups:
-    """Center, derived subgroup, and their intersection.  On the fast path
-    the center is the span of the kernel basis of `center_span`; otherwise
-    it is every element that commutes with `frattini_generators`."""
-    if isinstance(group, PcGroup) and group.is_fast:
-        center_elems = frozenset(_span_elements(center_span(group).basis()))
-    else:
-        gens = frattini_generators(group)
-        center_elems = frozenset(
-            g for g in group.elements()
-            if all(group.comm(g, x) == group.identity for x in gens)
-        )
+    """Center (`_center`), derived subgroup, and their intersection."""
+    center_elems = frozenset(_center(group))
     center = Subgroup(group, sorted(center_elems, key=group.lexkey), center_elems)
     derived = derived_subgroup(group)
     both = center_elems & derived.elements

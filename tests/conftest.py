@@ -5,7 +5,7 @@ import pytest
 from twogroups.catalog import shipped_catalog
 from twogroups.homology import schur_cover
 from twogroups.linalg import gf2_rank
-from twogroups.pcgroup import PcGroup
+from twogroups.pcgroup import PcGroup, check_element_walk, conjugacy_orbit, frattini_generators
 
 SHIPPED_SMALL = ["C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8",
                  "SG128_1376", "SG128_1377"]
@@ -38,15 +38,42 @@ def rkm(k, m, seed):
 
 class GenericView:
     """A PcGroup behind an object that is not a PcGroup: every operation is
-    the group's own, but the `isinstance` tests for the class-<=2 fast paths
-    fail, so conjugacy_classes and h1_wh_prime take their generic orbit
-    walks on it, an oracle independent of the fast path."""
+    the group's own, but it declares `is_fast` false, so conjugacy_classes,
+    h1_wh_prime and wedge_pairs take their generic orbit walks on it, an
+    oracle independent of the fast path."""
+
+    is_fast = False
 
     def __init__(self, group):
         self._group = group
 
     def __getattr__(self, name):
         return getattr(self._group, name)
+
+
+def class_centralizers(group):
+    """One (g, gens) per conjugacy class, in element order of its first
+    member g, with <gens> = C_G(g) and no identity or repeat in gens: the
+    Schreier generators t_y x t_{y^x}^-1 of the orbit walk of g under the
+    Frattini generators.  One walk per class, where `wedge_pairs` walks only
+    the classes of centre-transversal elements: kept as its oracle, the same
+    orbit walk on every group, fast or not."""
+    check_element_walk(group, "class_centralizers")
+    frattini = frattini_generators(group)
+    seen = set()
+    for g in group.elements():
+        if g in seen:
+            continue
+        steps = []
+        orbit = conjugacy_orbit(group, g, _steps=steps, _gens=frattini)
+        seen.update(orbit)
+        t_inv = {y: group.inv(t) for y, t in orbit.items()}
+        schreier = {}
+        for y, x, z in steps:
+            s = group.mult(group.mult(orbit[y], x), t_inv[z])
+            if s != group.identity:
+                schreier[s] = None
+        yield g, list(schreier)
 
 
 def cyclic_product(exponents):

@@ -1,16 +1,16 @@
-"""Class representatives with centralizer generators against brute force.
+"""Centralizer generators of `wedge_pairs` against brute force.
 
-`commuting_wedges` and `commuting_wedge_span` read only the pairs
-(class representative, centralizer generator) of `class_centralizers`; the
-oracle is the |G|^2 walk `commuting_pairs` over every commuting pair.  On
-the class-2 fast path the generators are a kernel basis, on the generic
-path Schreier generators of the orbit walk; `GenericView` runs the generic
-walk on a fast group.
+`commuting_wedges`, `commuting_wedge_span` and `sk1` read only the pairs
+(g, generator of C_G(g)) of `wedge_pairs`; the oracle is the |G|^2 walk
+`commuting_pairs` over every commuting pair.  On the class-2 fast path the
+generators are a kernel basis, on the generic path Schreier generators of
+the orbit walk; `GenericView` runs the generic walk on a fast group.  The
+oracle `class_centralizers` (conftest) gives one pair per class.
 """
 
 import pytest
 
-from conftest import RKM, RKM_LARGER, GenericView, rkm
+from conftest import RKM, RKM_LARGER, GenericView, class_centralizers, rkm
 from twogroups import pcgroup
 from twogroups.homology import (
     commuting_pairs,
@@ -27,9 +27,10 @@ from twogroups.pcgroup import (
     PcError,
     PcGroup,
     ScaleError,
-    class_centralizers,
+    center_transversal,
     conjugacy_classes,
     subgroup,
+    wedge_pairs,
 )
 
 
@@ -38,19 +39,22 @@ def test_centralizer_generators_give_centralizer_orders(small_family):
     fast = [g for g in small_family + larger if g.is_fast]
     for g in small_family + larger + [GenericView(f) for f in fast]:
         class_of = {x: c for c in conjugacy_classes(g) for x in c.elements}
-        reps = []
-        for rep, gens in class_centralizers(g):
-            assert g.identity not in gens and len(set(gens)) == len(gens)
-            assert all(g.comm(rep, s) == g.identity for s in gens), g.name
-            assert subgroup(g, gens).order == class_of[rep].centralizer_order, g.name
-            reps.append(rep)
-        assert sorted(class_of[r].rep for r in reps) == sorted(
-            c.rep for c in conjugacy_classes(g)
-        ), g.name
+        for walk in (wedge_pairs, class_centralizers):
+            reps = []
+            for rep, gens in walk(g):
+                assert g.identity not in gens and len(set(gens)) == len(gens)
+                assert all(g.comm(rep, s) == g.identity for s in gens), g.name
+                assert subgroup(g, gens).order == class_of[rep].centralizer_order, g.name
+                reps.append(rep)
+            if walk is class_centralizers:
+                assert sorted(class_of[r].rep for r in reps) == sorted(
+                    c.rep for c in conjugacy_classes(g)
+                ), g.name
     for g in fast:
-        # both walks take the first member of each class in element order
-        generic = [rep for rep, _gens in class_centralizers(GenericView(g))]
-        assert [rep for rep, _gens in class_centralizers(g)] == generic, g.name
+        # both walks take every non-central transversal element, in order
+        k = len(center_transversal(g)) - 1
+        generic = [rep for rep, _gens in wedge_pairs(GenericView(g))][:k]
+        assert [rep for rep, _gens in wedge_pairs(g)][:k] == generic, g.name
 
 
 def test_fast_and_generic_walks_give_the_same_sk1_and_wedge_span(cat):
@@ -78,8 +82,7 @@ def test_fast_walk_never_takes_the_orbit_walk(cat, monkeypatch):
     monkeypatch.setattr(pcgroup, "conjugacy_orbit", refuse)
     for g in [cat["G16384"]] + [rkm(*a) for a in RKM_LARGER]:
         assert g.is_fast
-        reps = [rep for rep, _gens in class_centralizers(g)]
-        assert len(reps) == len(conjugacy_classes(g)), g.name
+        assert len(list(wedge_pairs(g))) > 1 and conjugacy_classes(g), g.name
         data = sk1(g)
         if g.name == "G16384":
             assert data.invariants == ()
@@ -111,14 +114,15 @@ def test_commuting_wedge_span_matches_brute_force(small_family):
     assert checked >= 8
 
 
-def test_class_centralizers_is_deterministic(cat):
-    g = cat["SG128_1376"]
-    assert list(class_centralizers(g)) == list(class_centralizers(g))
+def test_wedge_pairs_are_deterministic(cat):
+    for g in [cat["SG128_1376"], GenericView(cat["SG128_1376"]), cat["C8"]]:
+        assert list(wedge_pairs(g)) == list(wedge_pairs(g))
 
 
-def test_class_centralizers_refuses_large_groups_at_the_call():
+def test_wedge_pairs_refuse_large_groups_before_the_first_pair():
     # the walk visits every element: C2^21 is refused before the first class
     n = ELEMENT_WALK_BOUND.bit_length()
     big = PcGroup(f"C2x{n}", n, [0] * n, [[0] * n for _ in range(n)])
-    with pytest.raises(ScaleError, match="class_centralizers bound"):
-        class_centralizers(big)
+    for g in (big, GenericView(big)):
+        with pytest.raises(ScaleError, match="wedge_pairs bound"):
+            next(wedge_pairs(g))

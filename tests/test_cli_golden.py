@@ -6,7 +6,9 @@ stderr.  info, search-ext, lambda4 and conj62 of G16384 are kept although
 they take about 1 s each.  sk1 of G16384 (about 0.4 s) runs in a child
 process with a 60 s timeout, so that a slower route fails the test instead
 of hanging it.  selftest_golden.json holds the selftest --json report with
-its timings ("seconds", "elapsed_s") removed.
+its timings ("seconds", "elapsed_s") removed.  covers_sk1_golden.json holds
+the sk1 reports of the frozen benchmark covers (perfbench/covers.cat), all
+on the generic collector, with timing_ms removed.
 """
 
 import json
@@ -22,6 +24,8 @@ from twogroups.cli import main
 HERE = Path(__file__).parent
 SRC = HERE.parent / "src"
 GOLDEN = json.loads((HERE / "cli_golden.json").read_text())
+COVERS_GOLDEN = json.loads((HERE / "covers_sk1_golden.json").read_text())
+COVERS_CAT = HERE.parent / "perfbench" / "covers.cat"
 TIMINGS = ("seconds", "elapsed_s")
 IN_CHILD = [["sk1", "G16384"]]
 CHILD_TIMEOUT_S = 60
@@ -52,6 +56,16 @@ def test_cli_report_matches_golden(record, capsys):
         assert report == record["report"]
     else:
         assert err.strip() == record["stderr"]
+
+
+@pytest.mark.parametrize("record", COVERS_GOLDEN, ids=lambda r: " ".join(r["argv"]))
+def test_cover_sk1_report_matches_golden(record, capsys):
+    code = main(record["argv"] + ["--catalog", str(COVERS_CAT), "--json"])
+    out, err = capsys.readouterr()
+    assert code == record["code"], err
+    report = json.loads(out)
+    report.pop("timing_ms")
+    assert report == record["report"]
 
 
 def _without_timings(value):

@@ -20,15 +20,15 @@ from twogroups.catalog import fingerprint, parse_catalog
 from twogroups.ktheory import h1_wh_prime
 from twogroups.linalg import Gf2Span, gf2_kernel, transpose_masks
 from twogroups.pcgroup import (
-    PcGroup,
     _byte_tables,
     _span_elements,
     abelianization,
     center_span,
-    class_centralizers,
+    center_transversal,
     conjugacy_classes,
     conjugacy_orbit,
     frattini_generators,
+    wedge_pairs,
 )
 
 COVERS_CAT = Path(__file__).parents[1] / "perfbench" / "covers.cat"
@@ -42,7 +42,7 @@ def sorting_walk(group):
     Fast path: g ^ the span of the [g, x_i] as `Gf2Span` stores it;
     generic path: the orbit walk and its Schreier generators."""
     seen = set()
-    if isinstance(group, PcGroup) and group.is_fast:
+    if group.is_fast:
         center = center_span(group)
         per_coset = {}
         for g in group.elements():
@@ -108,11 +108,16 @@ def test_classes_come_in_lexkey_order_from_the_least_member(fast_groups):
         assert [(c.rep, c.elements) for c in generic] == [o[:2] for o in oracle], g.name
 
 
-def test_class_centralizers_yield_the_same_sequence(fast_groups):
+def test_wedge_pairs_take_the_class_walk_centralizers(fast_groups):
+    # on a class-2 group each transversal element is the first member of
+    # its class, so both collectors pair it with the generators that the
+    # class walk gave its class, in the transversal's order
     for g in fast_groups:
+        transversal = center_transversal(g)[1:]
         for group in (g, GenericView(g)):
-            oracle = [(rep, gens) for rep, _members, gens in sorting_walk(group)]
-            assert list(class_centralizers(group)) == oracle, g.name
+            walk = {rep: gens for rep, _members, gens in sorting_walk(group)}
+            pairs = list(wedge_pairs(group))[:len(transversal)]
+            assert pairs == [(t, walk[t]) for t in transversal], g.name
 
 
 def test_fingerprint_counts_orders_per_class(fast_groups):

@@ -3,8 +3,9 @@
 `sk1` reads the wedges [g~, h~] as kernel coordinates of the cover
 presentation and takes one Smith form.  The oracle is the route it
 replaced: list the Schur cover, close its kernel (the stem part) and the
-subgroup of commuting wedges (`commuting_wedges`), and read SK_1 off the
-subquotient element by element.
+subgroup of commuting wedges over the `class_centralizers` pairs (one per
+class, not the pairs of `wedge_pairs` that `sk1` reads), and read SK_1 off
+the subquotient element by element.
 """
 
 import random
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cyclic_product, relabel, rkm
+from conftest import class_centralizers, cyclic_product, relabel, rkm
 from twogroups import homology, pcgroup
 from twogroups.catalog import parse_catalog
 from twogroups.homology import (
@@ -28,10 +29,11 @@ from twogroups.ktheory import sk1
 from twogroups.pcgroup import (
     PcError,
     PcGroup,
-    class_centralizers,
     derived_subgroup,
+    subgroup,
     subquotient_invariants,
     trivial_subgroup,
+    wedge_pairs,
 )
 
 SK1_SHIPPED = ["C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8",
@@ -44,7 +46,9 @@ COVERS_CAT = Path(__file__).parents[1] / "perfbench" / "covers.cat"
 def materialized(g):
     """(SK_1, H_2) invariants from the listed cover."""
     c = schur_cover(g)
-    wedges = commuting_wedges(g, c)
+    sc = c.cover
+    wedges = subgroup(sc, [sc.comm(a, h) for a, hs in class_centralizers(g) for h in hs])
+    assert wedges.elements <= c.stem_part.elements, g.name
     return (
         subquotient_invariants(c.cover, c.stem_part, wedges),
         subquotient_invariants(c.cover, c.stem_part, trivial_subgroup(c.cover)),
@@ -137,7 +141,7 @@ def test_wedge_is_the_cover_commutator(cat):
     for g in [rkm(4, 6, 1), cat["G16384"]]:
         pres = cover_presentation(g)
         assert max(pres.h2_invariants) == 4
-        pairs = [(a, h) for a, gens in islice(class_centralizers(g), 200) for h in gens]
+        pairs = [(a, h) for a, gens in islice(wedge_pairs(g), 200) for h in gens]
         for a, h in pairs:
             assert pres.wedge(a, h) == pres.kernel_coordinates(pres.cover.comm(a, h)), g.name
 

@@ -1,25 +1,44 @@
 """`wedge_pairs` against the pairs of `class_centralizers`.
 
-`sk1` and `commuting_wedge_span` read the pairs of `wedge_pairs`: on the
-class-2 fast path (t, a generating set of C_G(t)) for t in a transversal
-of the center, then (z, x_i) for z in a basis of Z(G); elsewhere the pairs
-of `class_centralizers`, which `commuting_wedges` keeps as the oracle.  The
-two pair sets must give the same wedge subgroup of H_2(G), checked by
-membership both ways in the cover's kernel coordinates.
+`sk1`, `commuting_wedges` and `commuting_wedge_span` read the pairs of
+`wedge_pairs`: (t, a generating set of C_G(t)) for t in a transversal of
+the center, one t per class, then (z, x_i) for z in a generating set of
+Z(G).  The generators of C_G(t) are a kernel basis on the class-2 fast
+path and Schreier generators elsewhere (`GenericView` runs those on a fast
+group).  The oracle `class_centralizers` (conftest) takes one Schreier
+walk per class.  The pair sets must give the same wedge subgroup of
+H_2(G), checked by membership both ways in the cover's kernel coordinates.
 """
 
 import itertools
 import math
 from pathlib import Path
 
-from conftest import RKM_LARGER, GenericView, rkm
+import pytest
+
+from conftest import RKM_LARGER, GenericView, class_centralizers, rkm
 from twogroups.catalog import parse_catalog
 from twogroups.homology import cover_presentation
 from twogroups.ktheory import sk1
 from twogroups.linalg import smith_normal_form
-from twogroups.pcgroup import class_centralizers, standard_subgroups, wedge_pairs
+from twogroups.pcgroup import (
+    conjugacy_orbit,
+    frattini_generators,
+    standard_subgroups,
+    wedge_pairs,
+)
 
 COVERS_CAT = Path(__file__).parents[1] / "perfbench" / "covers.cat"
+
+
+@pytest.fixture(scope="module")
+def covers(cat):
+    """The frozen benchmark covers and the 2^14 class-3 cover of SG256_8129,
+    all on the generic collector."""
+    out = parse_catalog(COVERS_CAT.read_text())
+    out.append(cover_presentation(cat["SG256_8129"]).cover)
+    assert not any(g.is_fast for g in out)
+    return out
 
 
 def wedges(pres, pairs):
@@ -44,25 +63,45 @@ def membership(pres, gens):
     return contains
 
 
-def test_wedge_pairs_give_the_class_centralizer_wedge_subgroup(small_family):
-    groups = small_family + [rkm(*a) for a in RKM_LARGER]
-    groups += parse_catalog(COVERS_CAT.read_text())
+def test_wedge_pairs_give_the_class_centralizer_wedge_subgroup(small_family, covers):
+    groups = small_family + [rkm(*a) for a in RKM_LARGER] + covers
     fewer = 0
     for g in groups:
         pres = cover_presentation(g)
-        pairs = list(wedge_pairs(g))
-        assert all(g.comm(a, h) == g.identity for a, hs in pairs for h in hs), g.name
-        new = wedges(pres, pairs)
+        oracle = list(class_centralizers(g))
+        old = wedges(pres, oracle)
         # the fast kernel-basis pairs and the generic Schreier pairs
-        oracles = [g, GenericView(g)] if g.is_fast else [g]
-        for group in oracles:
-            old = wedges(pres, class_centralizers(group))
+        for group in [g, GenericView(g)] if g.is_fast else [g]:
+            pairs = list(wedge_pairs(group))
+            assert all(g.comm(a, h) == g.identity for a, hs in pairs for h in hs), g.name
+            new = wedges(pres, pairs)
             assert all(map(membership(pres, old), new)), g.name
             assert all(map(membership(pres, new), old)), g.name
-        fewer += sum(len(hs) for _a, hs in pairs) < sum(
-            len(hs) for _a, hs in class_centralizers(g)
-        )
-    assert fewer >= 10
+            fewer += sum(len(hs) for _a, hs in pairs) < sum(len(hs) for _a, hs in oracle)
+    assert fewer >= 20
+
+
+def test_generic_wedge_pairs_walk_disjoint_classes(small_family, covers):
+    # one orbit walk per pair before the central ones: the walked classes
+    # are disjoint and miss Z(G), so (|G| - |Z|) d(G) + n log2 |Z| <= |G| n
+    # bounds the pair count, as SK1_PAIR_BOUND assumes
+    fast = [g for g in small_family if g.is_fast] + [rkm(*a) for a in RKM_LARGER]
+    groups = [g for g in small_family if not g.is_fast] + covers
+    for g in groups + [GenericView(f) for f in fast]:
+        center = standard_subgroups(g).center.elements
+        d = len(frattini_generators(g))
+        walked, count = set(), 0
+        for t, hs in wedge_pairs(g):
+            count += len(hs)
+            if t in center:
+                assert hs == g.generators, g.name
+                continue
+            orbit = conjugacy_orbit(g, t)
+            assert walked.isdisjoint(orbit) and center.isdisjoint(orbit), (g.name, t)
+            walked.update(orbit)
+            assert len(hs) <= len(orbit) * d, (g.name, t)
+        z = len(center).bit_length() - 1
+        assert count <= (g.order - len(center)) * d + g.n * z <= g.order * g.n, g.name
 
 
 def test_fast_wedge_pairs_stay_within_the_center_bound(cat):

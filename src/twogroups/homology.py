@@ -256,7 +256,7 @@ def commuting_wedges(group: PcGroup, cover: CoverData) -> Subgroup:
     the test oracle)."""
     sc = cover.cover
     sub = subgroup(sc, (sc.comm(g, h) for g, hs in wedge_pairs(group) for h in hs))
-    if not sub.elements <= cover.stem_part.elements:
+    if not all(s in cover.stem_part for s in sub.seq):
         raise PcError("commuting wedges escaped the stem part")
     return sub
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import Fingerprint, fingerprint
-from .linalg import Gf2Span, elementary_coordinates, iter_bits, smith_normal_form
+from .linalg import elementary_coordinates, iter_bits, smith_normal_form
 from .pcgroup import (
     PcError,
     PcGroup,
@@ -35,6 +35,7 @@ from .pcgroup import (
     derived_subgroup,
     frattini_generators,
     standard_subgroups,
+    subgroup,
     wedge_pairs,
 )
 from .homology import CoverPresentation, cover_presentation
@@ -71,21 +72,21 @@ def h1_wh_prime(group) -> WhPrimeData:
     abelianization's own.  Witnesses: on class-<=2 pc groups the GF(2)
     solve of `_inverse_conjugator_fast` once per coset g ^ [G,G] ([G,G] is
     central of exponent 2, so (gc)^2 = g^2 and [gc, x_i] = [g, x_i]), keyed
-    by g's residue mod [G,G], read off `_byte_tables` as reduction is
-    GF(2)-linear; otherwise one `conjugacy_orbit` per class, under the d(G)
-    Frattini generators, in element order: if a_y^-1 r a_y = y for the
-    class's first element r, then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
+    by g's residue `der.sift(g)`, read off `_byte_tables`: a member of [G,G]
+    multiplies by XOR here, so sifting is GF(2)-linear; otherwise one
+    `conjugacy_orbit` per class, under the d(G) Frattini generators, in
+    element order: if a_y^-1 r a_y = y for the class's first element r,
+    then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
     C contains [G,G], so it is normal, and every g in S has g^2 in [G,G]:
     each newly witnessed g doubles C to C u Cg, which is how
-    `elementary_coordinates` builds it on top of [G,G].
+    `elementary_coordinates` picks its generators on top of [G,G].
     """
     check_element_walk(group, "h1_wh_prime")
     ab = abelianization(group)
     der = ab.derived
     fast = group.is_fast
     if fast:
-        span = Gf2Span(der.gens)
-        residues = _byte_tables([span.reduce(1 << j) for j in range(group.n)])
+        residues = _byte_tables([der.sift(1 << j) for j in range(group.n)])
         solved: Dict[int, Optional[int]] = {}
     gens = None if fast else frattini_generators(group)
     s_elems = ab.s_elements()
@@ -110,11 +111,11 @@ def h1_wh_prime(group) -> WhPrimeData:
             h = None if to_inv is None else group.mult(group.inv(orbit[g]), to_inv)
         if h is not None:
             witnesses.append((g, h))
-    basis, table = elementary_coordinates(group.mult, der.elements, (g for g, _ in witnesses))
+    basis = elementary_coordinates(group.mult, der.elements, (g for g, _ in witnesses))[0]
     # S/[G,G] = Omega_1(G^ab), generated by the (factor generator j)^(d_j/2)
     omega = [group.power(g, d // 2) for g, d in zip(ab.factor_gens, ab.invariants)]
-    s_sub = Subgroup(group, der.gens + tuple(omega), frozenset(s_elems))
-    c_sub = Subgroup(group, der.gens + tuple(basis), frozenset(table))
+    s_sub = subgroup(group, der.gens + tuple(omega))
+    c_sub = subgroup(group, der.gens + tuple(basis))
     rank = (s_sub.order // c_sub.order).bit_length() - 1
     return WhPrimeData(group, s_sub, c_sub, rank, witnesses)
 
@@ -238,9 +239,7 @@ class CentralExtensionData:
 
 
 def _extension(cover_group, t: int, alpha) -> CentralExtensionData:
-    return CentralExtensionData(
-        cover_group, t, alpha, t in derived_subgroup(cover_group).elements
-    )
+    return CentralExtensionData(cover_group, t, alpha, t in derived_subgroup(cover_group))
 
 
 def central_extension(cover_group: PcGroup, sigma_word: Sequence[int]) -> CentralExtensionData:
@@ -257,7 +256,7 @@ def central_extension_from_hom(cover_group, alpha) -> CentralExtensionData:
         raise PcError("kernel must be central of order two")
     if not alpha.is_surjective():
         raise PcError("alpha must be surjective")
-    return _extension(cover_group, max(ker.elements), alpha)
+    return _extension(cover_group, ker.seq[0], alpha)
 
 
 def commutator_values(group) -> Dict[int, Tuple[int, int]]:

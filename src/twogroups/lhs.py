@@ -78,18 +78,18 @@ def d2_table(group, v_subgroup: Subgroup) -> LhsData:
         raise LhsError("LHS tables need a pc-presented group")
     if not v_subgroup.is_central:
         raise LhsError("V is not central")
-    for v in v_subgroup.elements:
-        if group.square(v) != group.identity:
-            raise LhsError("V is not elementary abelian")
-    in_v = [i for i in range(group.n) if (1 << i) in v_subgroup.elements]
-    out_v = [i for i in range(group.n) if (1 << i) not in v_subgroup.elements]
+    # central, so abelian: elementary when its members square to 1
+    if any(group.square(v) != group.identity for v in v_subgroup.seq):
+        raise LhsError("V is not elementary abelian")
+    in_v = [i for i in range(group.n) if (1 << i) in v_subgroup]
+    out_v = [i for i in range(group.n) if (1 << i) not in v_subgroup]
     if (1 << len(in_v)) != v_subgroup.order:
         raise LhsError("V is not spanned by pc generators")
     for i in out_v:
-        if group.square(1 << i) not in v_subgroup.elements:
+        if group.square(1 << i) not in v_subgroup:
             raise LhsError("G/V is not elementary abelian")
         for j in out_v:
-            if i < j and group.comms[i][j] not in v_subgroup.elements:
+            if i < j and group.comms[i][j] not in v_subgroup:
                 raise LhsError("G/V is not abelian")
     v_index = {g: k for k, g in enumerate(in_v)}
 
@@ -231,11 +231,10 @@ def extension_class_rep(ext, base_data: Optional[LhsData] = None) -> TowerClassR
     vt = subgroup(cover, list(frat.gens) + [t])
     if not vt.is_central:
         raise LhsError("V~ = <Frattini, sigma> is not central")
-    for v in vt.elements:
-        if cover.square(v) != cover.identity:
-            raise LhsError("V~ is not elementary abelian")
+    if any(cover.square(v) != cover.identity for v in vt.seq):
+        raise LhsError("V~ is not elementary abelian")
     # greedy basis of V~ preferring single pc generators, ascending
-    candidates = [g for g in cover.generators if g in vt.elements]
+    candidates = [g for g in cover.generators if g in vt]
     candidates += [g for g in vt.sorted_elements() if g not in candidates]
     basis, coord = elementary_coordinates(cover.mult, [cover.identity], candidates)
     if len(coord) != vt.order:
@@ -262,7 +261,7 @@ def extension_class_rep(ext, base_data: Optional[LhsData] = None) -> TowerClassR
             acc = acc + F2Poly.var(variables, variables[k])
         return acc
 
-    out_gens = [1 << i for i in range(cover.n) if (1 << i) not in vt.elements]
+    out_gens = [1 << i for i in range(cover.n) if (1 << i) not in vt]
     theta = F2Poly.zero(variables)
     comps: Dict[str, int] = {}
     for a in out_gens:

@@ -26,7 +26,6 @@ from .pcgroup import (
     PcGroup,
     abelianization,
     conjugacy_classes,
-    least_in_coset,
 )
 from .ktheory import (
     CentralExtensionData,
@@ -121,8 +120,7 @@ def delta_map(group, ab: Optional[Abelianization] = None,
         wh = h1_wh_prime(group)
     # least elements of the [G,G]-cosets of the order-two elements v_j
     reps = [
-        least_in_coset(group, ab.derived.elements, group.power(g, m // 2))
-        for m, g in zip(ab.invariants, ab.factor_gens)
+        ab.derived.sift(group.power(g, m // 2)) for m, g in zip(ab.invariants, ab.factor_gens)
     ]
     c_gens = wh.c_subgroup.gens
     span = Gf2Span(ab.omega_bits(c) for c in c_gens)
@@ -199,16 +197,14 @@ def adapted_decomposition(group, dmap: Optional[DeltaMap] = None) -> AdaptedDeco
     perm = first + rest
     orders = [orders[j] for j in perm]
     gens = [gens[j] for j in perm]
-    der = ab.derived.elements
-    factor_gens = [least_in_coset(group, der, g) for g in gens]
+    der = ab.derived
+    factor_gens = [der.sift(g) for g in gens]
     dec = AdaptedDecomposition(
         group=group,
         ab=ab,
         orders=orders,
         factor_gens=factor_gens,
-        v_elems=[
-            least_in_coset(group, der, group.power(g, m // 2)) for g, m in zip(gens, orders)
-        ],
+        v_elems=[der.sift(group.power(g, m // 2)) for g, m in zip(gens, orders)],
         k=len(first),
         delta=dmap,
         basis=Abelianization(

@@ -35,6 +35,7 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -498,22 +499,15 @@ def frattini_generators(group) -> List[int]:
     Phi(G) through later generators, so the non-pivot x_i span G/Phi(G)
     and generate G by the Burnside basis theorem (Holt, Eick and O'Brien,
     Handbook of CGT, ch. 8)."""
-    pivots = _relation_echelon(group)
+    pivots = {s & -s for s in frattini_subgroup(group).seq}
     return [1 << i for i in range(group.n) if 1 << i not in pivots]
 
 
 def frattini_subgroup(group) -> Subgroup:
     """Phi(G), the kernel of `frattini_generators`' map: the elements whose
-    exponent bits lie in R, generated by its echelon vectors (their distinct
-    leading bits make them an induced pc sequence of the span)."""
-    gens = list(_relation_echelon(group).values())
-    elems = [0]
-    for w in gens:
-        elems += [e ^ w for e in elems]
-    return Subgroup(group, gens, frozenset(elems))
-
-
-def _relation_echelon(group) -> Dict[int, int]:
+    exponent bits lie in R.  The echelon vectors of R lie in it and have
+    distinct leading bits, so their 2^(rank R) ordered products are all of
+    it: they are its induced pc sequence."""
     pivots: Dict[int, int] = {}  # lowest set bit -> echelon vector of R
     for w in group.powers + tuple(c for row in group.comms for c in row):
         while w:
@@ -522,7 +516,8 @@ def _relation_echelon(group) -> Dict[int, int]:
                 pivots[low] = w
                 break
             w ^= pivots[low]
-    return pivots
+    gens = list(pivots.values())
+    return Subgroup(group, gens, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -535,28 +530,45 @@ def _relation_echelon(group) -> Dict[int, int]:
 
 
 class Subgroup:
-    """A materialized subgroup, its elements as ints of the group."""
+    """A subgroup H as an induced pc sequence `seq`: one member per leading
+    bit (lowest set bit, the first nonzero exponent), ascending.  Every
+    generator has relative order 2, so every element of H is exactly one
+    ordered product of distinct members and |H| = 2^len(seq) (Holt, Eick
+    and O'Brien, Handbook of CGT, 8.3).  `gens` generate H too; `elements`
+    is listed on first use."""
 
-    def __init__(self, group, gens: Sequence[int], elements: frozenset):
+    def __init__(self, group, gens: Sequence[int], seq: Iterable[int]):
         self.group = group
         self.gens = tuple(gens)
-        self.elements = elements
-        self.order = len(elements)
-        self._is_central: Optional[bool] = None
+        self.seq = tuple(sorted(seq, key=lambda s: s & -s))
+        self.order = 1 << len(self.seq)
 
-    @property
+    def sift(self, g: int) -> int:
+        """The lexicographically least element of gH: a member changes no bit
+        below its leading bit and flips that one, so clearing each leading
+        bit in ascending order is the greedy minimum.  It is the identity
+        exactly when g is in H."""
+        for s in self.seq:
+            if g & s & -s:
+                g = self.group.mult(g, s)
+        return g
+
+    @cached_property
+    def elements(self) -> frozenset:
+        elems = [self.group.identity]
+        for s in self.seq:
+            elems += [self.group.mult(e, s) for e in elems]
+        return frozenset(elems)
+
+    @cached_property
     def is_central(self) -> bool:
-        """Every kept generator commutes with a generating set of G."""
-        if self._is_central is None:
-            g = self.group
-            gens = frattini_generators(g)
-            self._is_central = all(
-                g.comm(h, x) == g.identity for h in self.gens for x in gens
-            )
-        return self._is_central
+        """Every member commutes with a generating set of G."""
+        g = self.group
+        gens = frattini_generators(g)
+        return all(g.comm(h, x) == g.identity for h in self.seq for x in gens)
 
     def __contains__(self, g: int) -> bool:
-        return g in self.elements
+        return not self.sift(g)
 
     def __len__(self) -> int:
         return self.order
@@ -570,43 +582,39 @@ class Subgroup:
 
 
 def subgroup(group, gens: Iterable[int], normal_closure: bool = False) -> Subgroup:
-    """Smallest (normal) subgroup containing gens, element set materialized.
+    """Smallest (normal) subgroup containing gens, as an induced pc sequence.
 
     Candidates are taken in order and one already inside is skipped.  A new
-    generator g adds the coset H*g and closes it under right multiplication
-    by the kept generators: every element of <H, g> outside H is h*g*w.
+    generator joins by its sifted residue, which has a leading bit no member
+    has; then the squares and commutators of members are sifted in until
+    each sifts to 1.  Then each square and commutator of members is an
+    ordered product of members after them, so the ordered products of the
+    members form a group (Holt, Eick and O'Brien, Handbook of CGT, 8.3).
     For the normal closure the conjugates of each kept generator by the
     group's generators are queued as further candidates, so the result is
-    normalized by every generator (the normal closure of Holt, Eick and
-    O'Brien, Handbook of CGT).  `gens` of the result are the kept
+    normalized by every generator.  `gens` of the result are the kept
     generators, irredundant and in input order."""
-    mult = group.mult
-    elems = {group.identity}
+    sub = Subgroup(group, (), ())
     kept: List[int] = []
     queue = deque(gens)
     while queue:
         g = queue.popleft()
-        if g in elems:
+        pending = [sub.sift(g)]
+        if not pending[0]:
             continue
         kept.append(g)
-        frontier = [mult(h, g) for h in elems]
-        elems.update(frontier)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for k in kept:
-                    y = mult(x, k)
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        while pending:
+            r = sub.sift(pending.pop())
+            if r:
+                pending += [group.square(r)] + [group.comm(r, s) for s in sub.seq]
+                sub = Subgroup(group, (), sub.seq + (r,))
         if normal_closure:
             queue.extend(group.conj(g, x) for x in group.generators)
-    return Subgroup(group, kept, frozenset(elems))
+    return Subgroup(group, kept, sub.seq)
 
 
 def trivial_subgroup(group) -> Subgroup:
-    return Subgroup(group, (), frozenset({group.identity}))
+    return Subgroup(group, (), ())
 
 
 @dataclass
@@ -831,22 +839,20 @@ class StandardSubgroups:
 
 
 def _center(group) -> List[int]:
-    """Z(G): on the fast path the span of the kernel basis of `center_span`;
-    otherwise every element, ascending, that conjugation by each of
-    `frattini_generators` fixes."""
+    """Elements that generate Z(G): on the fast path the kernel basis of
+    `center_span`, otherwise every element, ascending, that conjugation by
+    each of `frattini_generators` fixes."""
     if group.is_fast:
-        return _span_elements(center_span(group).basis())
+        return center_span(group).basis()
     gens = frattini_generators(group)
     return [g for g in group.elements() if all(group.conj(g, x) == g for x in gens)]
 
 
 def standard_subgroups(group) -> StandardSubgroups:
     """Center (`_center`), derived subgroup, and their intersection."""
-    center_elems = frozenset(_center(group))
-    center = Subgroup(group, sorted(center_elems, key=group.lexkey), center_elems)
+    center = subgroup(group, _center(group))
     derived = derived_subgroup(group)
-    both = center_elems & derived.elements
-    cap = Subgroup(group, sorted(both, key=group.lexkey), both)
+    cap = subgroup(group, [z for z in center.elements if z in derived])
     return StandardSubgroups(center, derived, cap)
 
 
@@ -898,10 +904,9 @@ class GroupHom:
         return img.order == self.target.order
 
     def kernel(self) -> Subgroup:
-        elems = frozenset(
-            g for g in self.source.elements() if self.apply(g) == self.target.identity
-        )
-        return Subgroup(self.source, sorted(elems, key=self.source.lexkey), elems)
+        """One walk over the source: callers bound |source| first."""
+        one = self.target.identity
+        return subgroup(self.source, [g for g in self.source.elements() if self.apply(g) == one])
 
 
 def homomorphism(source: PcGroup, target, images: Sequence[int]) -> GroupHom:
@@ -950,12 +955,6 @@ def central_lift(t: int, h: int) -> int:
 
 
 # -- abelianization ----------------------------------------------------------
-
-
-def least_in_coset(group, sub_elems, g: int) -> int:
-    """Lexicographically least element of the coset g * H, H given by its
-    elements."""
-    return min((group.mult(g, c) for c in sub_elems), key=group.lexkey)
 
 
 @dataclass
@@ -1094,7 +1093,7 @@ def abelianization(group: PcGroup) -> Abelianization:
         g = group.identity
         for i, e in enumerate(vinv[j]):
             g = group.mult(g, group.power(1 << i, e))
-        factor_gens.append(least_in_coset(group, derived.elements, g))
+        factor_gens.append(derived.sift(g))
     ab = Abelianization(
         group=group,
         derived=derived,
@@ -1116,7 +1115,7 @@ def subquotient_invariants(group, top: Subgroup, bottom: Subgroup) -> Tuple[int,
     bottom adds |bottom| to each n_k); the multiset of invariants follows.
     Exact when top/bottom is abelian.
     """
-    if not bottom.elements <= top.elements:
+    if not all(s in top for s in bottom.seq):
         raise PcError("bottom is not contained in top")
     levels = [0] * (top.order.bit_length() + 1)  # least k with g^(2^k) in bottom
     for g in top.elements:

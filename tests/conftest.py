@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -74,6 +75,44 @@ def class_centralizers(group):
             if s != group.identity:
                 schreier[s] = None
         yield g, list(schreier)
+
+
+def element_closure(group, gens, normal_closure=False):
+    """(kept generators, element set) of the smallest (normal) subgroup
+    containing gens, closed element by element: a new generator g adds the
+    coset H*g and closes it under right multiplication by the kept
+    generators, since every element of <H, g> outside H is h*g*w; for the
+    normal closure the conjugates of each kept generator by the group's
+    generators are queued as further candidates.  The oracle of
+    `pcgroup.subgroup`, which closes an induced pc sequence instead."""
+    elems = {group.identity}
+    kept = []
+    queue = deque(gens)
+    while queue:
+        g = queue.popleft()
+        if g in elems:
+            continue
+        kept.append(g)
+        frontier = [group.mult(h, g) for h in elems]
+        elems.update(frontier)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for k in kept:
+                    y = group.mult(x, k)
+                    if y not in elems:
+                        elems.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        if normal_closure:
+            queue.extend(group.conj(g, x) for x in group.generators)
+    return kept, frozenset(elems)
+
+
+def least_in_coset(group, sub_elems, g):
+    """Lexicographically least element of the coset g * H, H given by its
+    elements: the oracle of `Subgroup.sift`."""
+    return min((group.mult(g, c) for c in sub_elems), key=group.lexkey)
 
 
 def cyclic_product(exponents):

@@ -11,12 +11,12 @@ import random
 
 import pytest
 
-from conftest import relabel, rkm
+from conftest import least_in_coset, relabel, rkm
 from twogroups.homology import commuting_wedge_span, wedge_space
 from twogroups.lhs import LhsError, frattini_subgroup, lhs_data_for
 from twogroups.linalg import Gf2Span, elementary_coordinates
 from twogroups.ooze import OozeError, delta_map
-from twogroups.pcgroup import PcError, PcGroup, abelianization, least_in_coset
+from twogroups.pcgroup import PcError, PcGroup, abelianization
 
 
 def d8_times_c2():

@@ -15,7 +15,6 @@ from twogroups.pcgroup import (
     PcError,
     PcGroup,
     ScaleError,
-    Subgroup,
     _lexkey,
     _TailedGroup,
     abelian_invariants,
@@ -126,8 +125,9 @@ def test_form_tables_hold_64_bit_words():
 def test_top_table_matches_collector(cat, small_family):
     # the frozen benchmark covers, the cover presentations of small groups
     # and of the 2^10 R(k,m), the covers of covers, and groups whose tail
-    # is not elementary, each presentation once; every pair up to 2^9
-    # elements, 20k seeded pairs above
+    # is not elementary, each presentation once; every pair up to 2^7
+    # elements; above, every top-table key (a_t, b_t) with seeded tail
+    # bits, and 20k seeded pairs
     covers = {g.name: g for g in parse_catalog(COVERS_CAT.read_text())}
     tops = {name: g._top_bits for name, g in covers.items() if g._top is not None}
     assert tops == {
@@ -151,10 +151,15 @@ def test_top_table_matches_collector(cat, small_family):
     rng = random.Random(RNG_SEED)
     for g in groups:
         slow = generic_copy(g)
-        if g.order <= 1 << 9:
+        s, mask, tail = g._top_bits, (1 << g._top_bits) - 1, g.order >> g._top_bits
+        if g.order <= 1 << 7:
             pairs = [(a, b) for a in g.elements() for b in g.elements()]
         else:
-            pairs = [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(20000)]
+            pairs = [
+                (key >> s | rng.randrange(tail) << s, key & mask | rng.randrange(tail) << s)
+                for key in range(1 << 2 * s)
+            ]
+            pairs += [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(20000)]
         for a, b in pairs:
             assert g.mult(a, b) == slow.mult(a, b), g.name
             assert g.conj(a, b) == slow.conj(a, b), g.name
@@ -162,15 +167,15 @@ def test_top_table_matches_collector(cat, small_family):
         for a in {a for a, _ in pairs}:
             assert g.square(a) == slow.square(a), g.name
             assert g.inv(a) == slow.inv(a), g.name
-        # each entry is the sentinel or the collector's a_t b_t, and in the
-        # conjugation table its h_t^-1 g_t h_t
-        s, mask, top, conj = g._top_bits, (1 << g._top_bits) - 1, g._top, g._conj_top
-        assert len(top) == len(conj) == 1 << 2 * s and min(max(top), max(conj)) >= 0, g.name
+        # the pairs filled every entry: no -1 sentinel is left, each entry is
+        # the collector's a_t b_t, and in the conjugation table h_t^-1 g_t h_t
+        top, conj = g._top, g._conj_top
+        assert len(top) == len(conj) == 1 << 2 * s and min(min(top), min(conj)) >= 0, g.name
         for key, r in enumerate(top):
-            assert r == -1 or r == slow._mult(key >> s, key & mask), g.name
+            assert r == slow._mult(key >> s, key & mask), g.name
         for key, c in enumerate(conj):
             gt, ht = key >> s, key & mask
-            assert c == -1 or c == slow.mult(slow.mult(slow.inv(ht), gt), ht), g.name
+            assert c == slow.mult(slow.mult(slow.inv(ht), gt), ht), g.name
         assert _TailedGroup(g)._top is None, g.name
 
 
@@ -434,7 +439,7 @@ def test_abelianization_coordinates_certificate(small_family):
         for j, f in enumerate(ab.factor_gens):
             assert ab.coordinates(f) == tuple(int(i == j) for i in range(len(d))), g.name
         assert math.prod(d) * ab.derived.order == g.order, g.name
-        whole = Subgroup(g, g.generators, frozenset(g.elements()))
+        whole = subgroup(g, g.generators)
         assert subquotient_invariants(g, whole, ab.derived) == d, g.name
         # the routine behind `fingerprint` against the order-profile oracle
         assert abelian_invariants(g) == d, g.name

@@ -28,7 +28,7 @@ print("=== conjugacy classes of Q8 ===")
 q8 = cat["Q8"]
 for cls in conjugacy_classes(q8):
     members = ", ".join(q8.element_str(x) for x in cls.elements)
-    print(f"  class of {q8.element_str(cls.rep):8s} size {len(cls.elements)}  "
+    print(f"  class of {q8.element_str(cls.rep):8s} size {cls.size}  "
           f"centralizer {cls.centralizer_order}  {{{members}}}")
 
 print()

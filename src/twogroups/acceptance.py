@@ -423,10 +423,8 @@ def prop_class_equation() -> Tuple[bool, Dict]:
                  "SG256_8129", "SG256_9039", "G16384"]:
         g = cat[name]
         classes = conjugacy_classes(g)
-        total = sum(len(c.elements) for c in classes)
-        sizes_ok = all(
-            len(c.elements) * c.centralizer_order == g.order for c in classes
-        )
+        total = sum(c.size for c in classes)
+        sizes_ok = all(c.size * c.centralizer_order == g.order for c in classes)
         detail[name] = {"classes": len(classes), "sum": total}
         if total != g.order or not sizes_ok:
             return False, detail

@@ -179,17 +179,16 @@ def fingerprint(group: PcGroup) -> Fingerprint:
     conj_inv = 0
     for cls in classes:
         o = group.element_order(cls.rep)
-        orders[o] = orders.get(o, 0) + len(cls.elements)
-        rep_inv_class = group.inv(cls.rep) in cls.elements
-        if rep_inv_class:
-            conj_inv += len(cls.elements)
+        orders[o] = orders.get(o, 0) + cls.size
+        if cls.is_real:
+            conj_inv += cls.size
     return Fingerprint(
         order=group.order,
         abelian_invariants=invariants,
-        center_order=sum(1 for c in classes if len(c.elements) == 1),
+        center_order=sum(1 for c in classes if c.size == 1),
         derived_order=group.order // math.prod(invariants),
         exponent=max(orders),
-        class_sizes=tuple(sorted(len(c.elements) for c in classes)),
+        class_sizes=tuple(sorted(c.size for c in classes)),
         conj_to_inverse_count=conj_inv,
         order_profile=tuple(sorted(orders.items())),
     )

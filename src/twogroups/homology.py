@@ -15,14 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .linalg import (
-    Gf2Span,
-    elementary_coordinates,
-    gf2_kernel,
-    iter_bits,
-    smith_normal_form,
-    transpose_masks,
-)
+from .linalg import Gf2Span, gf2_kernel, iter_bits, smith_normal_form, transpose_masks
 from .pcgroup import (
     GroupHom,
     PcError,
@@ -276,8 +269,8 @@ class WedgeSpace:
     factor_lifts: List[int]        # group elements whose classes form the basis
     factor_labels: List[int]       # 1-based pc generator index per factor
     pairs: List[Tuple[int, int]]
-    derived_basis: List[int]
-    comm_matrix: List[int]         # per pair: derived coordinates as a bitmask
+    derived_basis: Tuple[int, ...]  # [G,G] as its induced pc sequence
+    comm_matrix: List[int]         # per pair: `Subgroup.coordinates` in [G,G]
     kernel_basis: List[int]        # masks over pair indices
     gen_masks: List[int]           # class_mask of each pc generator x_i
 
@@ -315,6 +308,8 @@ def wedge_space(group) -> WedgeSpace:
 
     kernel_basis spans the kernel of e_ij -> [g_i, g_j]; it equals the image
     of H_2(G;Z) in H_2(G^ab;Z) for such groups (five-term exact sequence).
+    The [g_i, g_j] are read in `Subgroup.coordinates` of [G,G]; the kernel
+    basis comes from a reduced echelon form, so no basis choice shows in it.
     """
     ab = abelianization(group)
     der = ab.derived
@@ -334,15 +329,12 @@ def wedge_space(group) -> WedgeSpace:
     lifts = [gens[i] for i in lift_index]
     lift_span = Gf2Span(classes[i] for i in lift_index)
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    basis, dcoord = elementary_coordinates(
-        group.mult, [group.identity], der.sorted_elements()
-    )
     comm_matrix = []
     for i, j in pairs:
         val = group.comm(lifts[i], lifts[j])
         if group.square(val) != group.identity:
             raise PcError("derived subgroup is not elementary abelian")
-        comm_matrix.append(dcoord[val])
+        comm_matrix.append(der.coordinates(val))
     kernel = gf2_kernel(transpose_masks(comm_matrix), len(pairs))
     return WedgeSpace(
         group=group,
@@ -350,7 +342,7 @@ def wedge_space(group) -> WedgeSpace:
         factor_lifts=lifts,
         factor_labels=[i + 1 for i in lift_index],
         pairs=pairs,
-        derived_basis=basis,
+        derived_basis=der.seq,
         comm_matrix=comm_matrix,
         kernel_basis=sorted(kernel),
         gen_masks=[lift_span.solve(v) for v in classes],

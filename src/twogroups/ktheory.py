@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import Fingerprint, fingerprint
-from .linalg import elementary_coordinates, iter_bits, smith_normal_form
+from .linalg import Gf2Span, iter_bits, smith_normal_form
 from .pcgroup import (
     PcError,
     PcGroup,
@@ -78,8 +78,12 @@ def h1_wh_prime(group) -> WhPrimeData:
     element order: if a_y^-1 r a_y = y for the class's first element r,
     then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
     C contains [G,G], so it is normal, and every g in S has g^2 in [G,G]:
-    each newly witnessed g doubles C to C u Cg, which is how
-    `elementary_coordinates` picks its generators on top of [G,G].
+    C/[G,G] is the span of the witnesses' classes in S/[G,G], read by
+    `Abelianization.omega_bits`.  C's generators on top of [G,G] are the
+    witnesses, in order, whose class is new; only the first witness of a
+    [G,G]-coset (fast path) or conjugacy class is tried, since a class
+    lies in one coset and the rest share its class, and none once the
+    span is all of S/[G,G].
     """
     check_element_walk(group, "h1_wh_prime")
     ab = abelianization(group)
@@ -92,6 +96,7 @@ def h1_wh_prime(group) -> WhPrimeData:
     s_elems = ab.s_elements()
     witnesses: List[Tuple[int, int]] = []
     orbit_of: Dict[int, Dict[int, int]] = {}
+    span, basis = Gf2Span(), []  # C/[G,G] in omega_bits, and C's generators over [G,G]
     for g in s_elems:
         if g in der.elements:
             continue
@@ -99,11 +104,13 @@ def h1_wh_prime(group) -> WhPrimeData:
             key = 0
             for shift, table in residues:
                 key ^= table[g >> shift & 255]
-            if key not in solved:
+            new = key not in solved
+            if new:
                 solved[key] = _inverse_conjugator_fast(group, g)
             h = solved[key]
         else:
-            if g not in orbit_of:
+            new = g not in orbit_of
+            if new:
                 orbit = conjugacy_orbit(group, g, _gens=gens)
                 orbit_of.update(dict.fromkeys(orbit, orbit))
             orbit = orbit_of[g]
@@ -111,7 +118,9 @@ def h1_wh_prime(group) -> WhPrimeData:
             h = None if to_inv is None else group.mult(group.inv(orbit[g]), to_inv)
         if h is not None:
             witnesses.append((g, h))
-    basis = elementary_coordinates(group.mult, der.elements, (g for g, _ in witnesses))[0]
+            if new and len(span) < len(ab.invariants) and not span.contains(v := ab.omega_bits(g)):
+                span.add(v)
+                basis.append(g)
     # S/[G,G] = Omega_1(G^ab), generated by the (factor generator j)^(d_j/2)
     omega = [group.power(g, d // 2) for g, d in zip(ab.factor_gens, ab.invariants)]
     s_sub = subgroup(group, der.gens + tuple(omega))
@@ -131,6 +140,8 @@ def h1_wh_prime(group) -> WhPrimeData:
 # generic collector, 9,328 pairs) 0.6-1.5 s at a 38 MB peak in-process,
 # its own cover presentation included.
 SK1_PAIR_BOUND = 1 << 18
+# commutator_values scans |G/Z(G)|^2 pairs at about 1.5 us each: README "Scale bounds"
+COMMUTATOR_PAIR_BOUND = 1 << 24
 
 
 def check_sk1_pairs(group) -> None:
@@ -265,7 +276,12 @@ def commutator_values(group) -> Dict[int, Tuple[int, int]]:
     arguments, g outer: [gz, h] = [g, hz] = [g, h] for central z."""
     from .parallel import map_chunks
 
+    check_element_walk(group, "commutator_values")
     elems = center_transversal(group)
+    if len(elems) ** 2 > COMMUTATOR_PAIR_BOUND:
+        raise ScaleError(f"commutator scan bound is |G/Z(G)|^2 <= "
+                         f"2^{COMMUTATOR_PAIR_BOUND.bit_length() - 1}, "
+                         f"got 2^{2 * len(elems).bit_length() - 2}")
 
     def scan(chunk):
         first: Dict[int, Tuple[int, int]] = {}
@@ -322,10 +338,9 @@ def thm42_check(ext: CentralExtensionData) -> CriterionResult:
     g, t = ext.cover_group, ext.t
     q = central_quotient(g, t).target
     for cls in conjugacy_classes(q):
-        h = cls.rep
-        if q.inv(h) not in cls.elements:
+        if not cls.is_real:
             continue
-        lift = central_lift(t, h)
+        lift = central_lift(t, cls.rep)
         if conjugate_to_inverse_witness(g, lift) is None:
             return CriterionResult(False, {"counterexample": f"[{g.element_str(lift)}]"})
     return CriterionResult(True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .f2poly import DegreeSlice, F2Poly, MembershipCertificate, degree_membership, sq1
-from .linalg import elementary_coordinates, gf2_kernel, iter_bits, transpose_masks
+from .linalg import Gf2Span, gf2_kernel, iter_bits, transpose_masks
 from .pcgroup import PcGroup, Subgroup, frattini_subgroup, subgroup
 
 
@@ -91,15 +91,8 @@ def d2_table(group, v_subgroup: Subgroup) -> LhsData:
         for j in out_v:
             if i < j and group.comms[i][j] not in v_subgroup:
                 raise LhsError("G/V is not abelian")
-    v_index = {g: k for k, g in enumerate(in_v)}
-
-    def v_coords(elem: int) -> int:
-        mask = 0
-        for b in iter_bits(elem):
-            if b not in v_index:
-                raise LhsError("relation value escapes V")
-            mask |= 1 << v_index[b]
-        return mask
+    # coordinates over the pc generators in V, its induced pc sequence
+    v_coords = Subgroup(group, (), [1 << i for i in in_v]).coordinates
 
     variables = tuple(f"X{i + 1}" for i in out_v)
     var_of = {i: k for k, i in enumerate(out_v)}
@@ -233,21 +226,22 @@ def extension_class_rep(ext, base_data: Optional[LhsData] = None) -> TowerClassR
         raise LhsError("V~ = <Frattini, sigma> is not central")
     if any(cover.square(v) != cover.identity for v in vt.seq):
         raise LhsError("V~ is not elementary abelian")
-    # greedy basis of V~ preferring single pc generators, ascending
+    # greedy basis of V~ preferring single pc generators, ascending, in the
+    # linear `Subgroup.coordinates` of V~; `solve` reads coordinates in it
     candidates = [g for g in cover.generators if g in vt]
     candidates += [g for g in vt.sorted_elements() if g not in candidates]
-    basis, coord = elementary_coordinates(cover.mult, [cover.identity], candidates)
-    if len(coord) != vt.order:
-        raise LhsError("failed to coordinatize the cover Frattini subgroup")
-    tmask = coord[t]
-    if tmask == 0:
-        raise LhsError("sigma is trivial in the cover Frattini subgroup")
+    span, basis = Gf2Span(), []
+    for g in candidates:
+        v = vt.coordinates(g)
+        if not span.contains(v):
+            span.add(v)
+            basis.append(g)
     # complement = kernel of the coordinate of the last basis vector in the
     # support of t, so early generators stay inside the complement
-    pivot = tmask.bit_length() - 1
+    pivot = span.solve(vt.coordinates(t)).bit_length() - 1
 
     def sigma_comp(elem: int) -> int:
-        return coord[elem] >> pivot & 1
+        return span.solve(vt.coordinates(elem)) >> pivot & 1
 
     complement = [cover.element_str(b) for k, b in enumerate(basis) if k != pivot]
     # W-variables of the base: classes of the images of the cover generators

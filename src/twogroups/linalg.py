@@ -6,7 +6,7 @@ lists of lists of ints, reduced modulo a power of two by the Smith form.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def iter_bits(x: int) -> Iterator[int]:
@@ -84,13 +84,15 @@ def gf2_rref(rows: Sequence[int]) -> List[int]:
     """Reduced row echelon form of the span of rows: one row per pivot (its
     lowest set bit), in ascending pivot order, each pivot clear in every
     other row."""
-    basis = Gf2Span(rows).basis()
-    for i, row in enumerate(basis):
-        pivot = row & -row
-        for j in range(len(basis)):
-            if j != i and basis[j] & pivot:
-                basis[j] ^= row
-    return basis
+    basis: List[int] = []
+    for row in rows:
+        for b in basis:
+            if row & b & -b:
+                row ^= b
+        if row:
+            low = row & -row
+            basis = [b ^ row if b & low else b for b in basis] + [row]
+    return sorted(basis, key=lambda b: b & -b)
 
 
 def gf2_kernel(rows: Sequence[int], ncols: int) -> List[int]:
@@ -121,27 +123,6 @@ def transpose_masks(masks: Sequence[int]) -> List[int]:
         sum(1 << j for j, m in enumerate(masks) if m >> bit & 1)
         for bit in range(nbits)
     ]
-
-
-def elementary_coordinates(
-    mult: Callable[[int, int], int], zero: Iterable[int], candidates: Iterable[int]
-) -> Tuple[List[int], Dict[int, int]]:
-    """Greedy GF(2) coordinates on an elementary abelian section.
-
-    zero lists the elements with coordinate 0 (the subgroup divided out);
-    each candidate not yet reached becomes the next basis vector.  Returns
-    (basis, table) with table mapping every element reached to its mask.
-    """
-    table = dict.fromkeys(zero, 0)
-    basis: List[int] = []
-    for g in candidates:
-        if g in table:
-            continue
-        bit = 1 << len(basis)
-        for elem, mask in list(table.items()):
-            table[mult(elem, g)] = mask | bit
-        basis.append(g)
-    return basis, table
 
 
 def _fields(x: int, count: int, nbytes: int) -> List[int]:

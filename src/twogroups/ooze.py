@@ -634,8 +634,8 @@ def conjecture62_scan(group) -> List[ConjectureSequence]:
             raise OozeError("a conjugacy class meets two [G,G]-cosets")
         bucket = buckets.setdefault(image, [0, 0, 0])
         bucket[0] += 1
-        bucket[1] += group.inv(cls.rep) in cls.elements
-        bucket[2] += len(cls.elements)
+        bucket[1] += cls.is_real
+        bucket[2] += cls.size
     out: List[ConjectureSequence] = []
     for target, choices in scans:
         half = target >> 1

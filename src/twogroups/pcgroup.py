@@ -34,7 +34,7 @@ import math
 import struct
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import xor
@@ -553,6 +553,19 @@ class Subgroup:
                 g = self.group.mult(g, s)
         return g
 
+    def coordinates(self, g: int) -> int:
+        """The mask of the members that `sift` multiplies g by, bit k for
+        seq[k]; PcError unless g is in H.  On an elementary abelian H, g
+        is the product of those members, so the map is GF(2)-linear."""
+        mask = 0
+        for k, s in enumerate(self.seq):
+            if g & s & -s:
+                g = self.group.mult(g, s)
+                mask |= 1 << k
+        if g:
+            raise PcError(f"{self.group.element_str(g)} is left after sifting through {self!r}")
+        return mask
+
     @cached_property
     def elements(self) -> frozenset:
         elems = [self.group.identity]
@@ -619,46 +632,57 @@ def trivial_subgroup(group) -> Subgroup:
 
 @dataclass
 class ConjugacyClass:
+    """A class as a record: its `lexkey`-least member `rep`, its size,
+    |C_G(rep)| and whether it holds rep^-1.  `elements` lists the members
+    in `lexkey` order when first read: rep ^ [rep, G] on the fast path,
+    else the orbit that the generic walk kept."""
+
     rep: int
-    elements: Tuple[int, ...]
+    size: int
     centralizer_order: int
+    is_real: bool
+    _group: object = field(default=None, repr=False, compare=False)
+    _members: Optional[Tuple[int, ...]] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def elements(self) -> Tuple[int, ...]:
+        if self._members is not None:
+            return tuple(sorted(self._members, key=self._group.lexkey))
+        # rep is 0 at each pivot (lowest bit) of the reduced basis of [rep, G],
+        # so the span in descending pivot order runs in `lexkey` order
+        span = _span_elements(gf2_rref(self._group.comm_images(self.rep))[::-1])
+        return tuple(self.rep ^ c for c in span)
 
 
 def conjugacy_classes(group) -> List[ConjugacyClass]:
-    """Partition of the group into conjugacy classes with centralizer orders,
-    in one pass over the elements that starts a class at each element not
-    yet listed; the classes are ordered by `lexkey` of their least member.
+    """The conjugacy classes as records, ordered by `lexkey` of their rep.
 
-    Fast path: h -> [g, h] = F(g, h) ^ F(h, g) is GF(2)-linear in the bits
-    of h, with image [g, G] spanned by the [g, x_i], and both depend only on
-    the coset of g modulo the center (`center_span`), so [g, G] is built
-    once per coset, as its `gf2_rref` basis.  The class of g is r ^ [g, G],
-    r the residue of g, 0 at every pivot (a lowest bit: the top exponent of
-    `lexkey`), so the span taken in descending pivot order lists it in
-    `lexkey` order from r and no class is sorted.  Generic path: one
-    `conjugacy_orbit` per class, under the d(G) elements of
-    `frattini_generators`, its members sorted."""
+    Fast path: h -> [g, h] = F(g, h) ^ F(h, g) is GF(2)-linear, with image
+    K = [g, G] inside Z(G) spanned by the [g, x_i], and K depends only on
+    g Z(G).  For t in `center_transversal`, t ^ Z(G) splits into classes
+    r ^ K whose least members r are `reduce`(t) ^ the span of the reduced
+    complement of K in Z(G), reducing by K's echelon basis, pivot at the
+    lowest bit.  r is real when r^-1 = r ^ r^2 is in r ^ K: r^2 reduces to
+    0; r -> r^2 is linear on Z(G), so those residues are spanned with the
+    reps.  Generic path: one `conjugacy_orbit` per class, under the d(G)
+    `frattini_generators`; the rep is its `lexkey`-least member."""
     check_element_walk(group, "conjugacy_classes")
     classes = []
     if group.is_fast:
-        center = center_span(group)
-        spans: Dict[int, List[int]] = {}
-        listed = bytearray(group.order)
-        for g in range(group.order):
-            if listed[g]:
-                continue
-            key = center.reduce(g)
-            if key not in spans:
-                spans[key] = _span_elements(gf2_rref(group.comm_images(g))[::-1])
-            span = spans[key]
-            r = g  # span[2^i] is basis row i
-            for i in range(len(span).bit_length() - 1):
-                b = span[1 << i]
-                r ^= b if r & b & -b else 0
-            members = tuple(r ^ c for c in span)
-            for m in members:
-                listed[m] = 1
-            classes.append(ConjugacyClass(r, members, group.order // len(members)))
+        center = center_span(group).basis()
+        per_k: Dict[Tuple[int, ...], tuple] = {}  # K's basis -> (its span, reps, r^2 residues)
+        for t in center_transversal(group):
+            k = tuple(gf2_rref(group.comm_images(t)))
+            if k not in per_k:
+                span, grown = Gf2Span(k), Gf2Span()
+                comp = [z for z in map(span.reduce, center) if grown.add(z)]
+                squares = [span.reduce(group.square(z)) for z in comp]
+                per_k[k] = span, _span_elements(comp), _span_elements(squares)
+            span, reps, squares = per_k[k]
+            r = span.reduce(t)
+            q, size = span.reduce(group.square(r)), 1 << len(k)
+            classes += [ConjugacyClass(r ^ c, size, group.order // size, q == s, group)
+                        for c, s in zip(reps, squares)]
     else:
         gens = frattini_generators(group)
         seen = set()
@@ -667,8 +691,9 @@ def conjugacy_classes(group) -> List[ConjugacyClass]:
                 continue
             orbit = conjugacy_orbit(group, g, _gens=gens)
             seen.update(orbit)
-            members = tuple(sorted(orbit, key=group.lexkey))
-            classes.append(ConjugacyClass(members[0], members, group.order // len(members)))
+            rep = min(orbit, key=group.lexkey)
+            classes.append(ConjugacyClass(rep, len(orbit), group.order // len(orbit),
+                                          group.inv(rep) in orbit, group, tuple(orbit)))
     classes.sort(key=lambda c: group.lexkey(c.rep))
     return classes
 
@@ -986,22 +1011,27 @@ class Abelianization:
             sum(c % d << s for c, d, s in zip(row, self.invariants, self._shifts))
             for row in self.gen_coords
         ]
+        # g is in S when the low log2(d_j) - 1 bits of every field are 0
+        self._s_mask = sum(d // 2 - 1 << s for d, s in zip(self.invariants, self._shifts))
+        # the packed sum of g, fields not reduced mod d_j, is one subset sum per byte
+        self._byte_sums = [(shift, _subset_sums(self._packed[shift:shift + 8]))
+                           for shift in range(0, len(self._packed), 8)]
 
     def coordinates(self, g: int) -> Tuple[int, ...]:
-        acc = 0
-        for i in iter_bits(g):
-            acc += self._packed[i]
+        acc = sum(table[g >> shift & 255] for shift, table in self._byte_sums)
         # every d_j is a power of two
         return tuple(acc >> s & (d - 1) for s, d in zip(self._shifts, self.invariants))
 
     def omega_bits(self, g: int) -> Optional[int]:
         """The class of g in S/[G,G], S = {g : g^2 in [G,G]}, as a GF(2)
         vector over the v_j = (factor generator j)^(d_j/2): bit j is
-        c_j/(d_j/2) for the coordinates c_j of g.  None when g is not in S."""
-        coords = self.coordinates(g)
-        if any(2 * c % d for c, d in zip(coords, self.invariants)):
+        c_j/(d_j/2) for the coordinates c_j of g, the top bit of field j.
+        None when g is not in S."""
+        acc = sum(table[g >> shift & 255] for shift, table in self._byte_sums)
+        if acc & self._s_mask:
             return None
-        return sum(1 << j for j, c in enumerate(coords) if c)
+        return sum((acc >> s + d.bit_length() - 2 & 1) << j
+                   for j, (s, d) in enumerate(zip(self._shifts, self.invariants)))
 
     def s_elements(self) -> List[int]:
         """S = {g : g^2 in [G,G]}, ascending, with no squaring: g^2 has the
@@ -1011,19 +1041,11 @@ class Abelianization:
         power of two).  g = hi << h | lo with h = ceil(n/2), and the packed
         sum of g is that of hi plus that of lo, each read from a table of at
         most 2^h subset sums of the packed rows."""
-        mask = sum(d // 2 - 1 << s for d, s in zip(self.invariants, self._shifts))
-        h = (self.group.n + 1) // 2
-        halves = []
-        for rows in (self._packed[:h], self._packed[h:]):
-            sums = [0]
-            for row in rows:
-                sums += [x + row for x in sums]
-            halves.append(sums)
-        lo_sums, hi_sums = halves
+        mask, h = self._s_mask, (self.group.n + 1) // 2
+        lo_sums, hi_sums = _subset_sums(self._packed[:h]), _subset_sums(self._packed[h:])
         out: List[int] = []
         for hi, hs in enumerate(hi_sums):
-            base = hi << h
-            out += [base | lo for lo, ls in enumerate(lo_sums) if not hs + ls & mask]
+            out += [hi << h | lo for lo, ls in enumerate(lo_sums) if not hs + ls & mask]
         return out
 
     def certificate_failure(self) -> Optional[str]:
@@ -1040,6 +1062,14 @@ class Abelianization:
         if math.prod(d) * self.derived.order != group.order:
             return "factor orders do not multiply to |G/[G,G]|"
         return None
+
+
+def _subset_sums(rows: List[int]) -> List[int]:
+    """The sum of rows[i] over the set bits i of x, at index x."""
+    sums = [0]
+    for row in rows:
+        sums += [x + row for x in sums]
+    return sums
 
 
 def derived_subgroup(group) -> Subgroup:

@@ -5,8 +5,15 @@ import pytest
 
 from twogroups.catalog import shipped_catalog
 from twogroups.homology import schur_cover
-from twogroups.linalg import gf2_rank
-from twogroups.pcgroup import PcGroup, check_element_walk, conjugacy_orbit, frattini_generators
+from twogroups.linalg import gf2_rank, gf2_rref
+from twogroups.pcgroup import (
+    PcGroup,
+    _span_elements,
+    center_span,
+    check_element_walk,
+    conjugacy_orbit,
+    frattini_generators,
+)
 
 SHIPPED_SMALL = ["C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8",
                  "SG128_1376", "SG128_1377"]
@@ -75,6 +82,66 @@ def class_centralizers(group):
             if s != group.identity:
                 schreier[s] = None
         yield g, list(schreier)
+
+
+def elementary_coordinates(mult, zero, candidates):
+    """Greedy GF(2) coordinates on an elementary abelian section, listed as
+    a table: zero lists the elements with coordinate 0 (the subgroup
+    divided out); each candidate not yet reached becomes the next basis
+    vector and doubles the table.  Returns (basis, table), table mapping
+    every element reached to its mask.  The oracle of
+    `Subgroup.coordinates` and of the `omega_bits` span behind C."""
+    table = dict.fromkeys(zero, 0)
+    basis = []
+    for g in candidates:
+        if g in table:
+            continue
+        bit = 1 << len(basis)
+        for elem, mask in list(table.items()):
+            table[mult(elem, g)] = mask | bit
+        basis.append(g)
+    return basis, table
+
+
+def listing_walk(group):
+    """(rep, members in `lexkey` order, centralizer order) per class, in
+    `lexkey` order of rep: the class walk that listed every class, kept as
+    the oracle of the class records.  One pass over the elements starts a
+    class at each element not yet listed.  Fast path: the class of g is
+    r ^ [g, G], r the residue of g modulo the reduced basis of [g, G], one
+    span per coset of the center; generic path: the sorted orbit."""
+    classes = []
+    if group.is_fast:
+        center = center_span(group)
+        spans = {}
+        listed = bytearray(group.order)
+        for g in range(group.order):
+            if listed[g]:
+                continue
+            key = center.reduce(g)
+            if key not in spans:
+                spans[key] = _span_elements(gf2_rref(group.comm_images(g))[::-1])
+            span = spans[key]
+            r = g  # span[2^i] is basis row i
+            for i in range(len(span).bit_length() - 1):
+                b = span[1 << i]
+                r ^= b if r & b & -b else 0
+            members = tuple(r ^ c for c in span)
+            for m in members:
+                listed[m] = 1
+            classes.append((r, members, group.order // len(members)))
+    else:
+        gens = frattini_generators(group)
+        seen = set()
+        for g in group.elements():
+            if g in seen:
+                continue
+            orbit = conjugacy_orbit(group, g, _gens=gens)
+            seen.update(orbit)
+            members = tuple(sorted(orbit, key=group.lexkey))
+            classes.append((members[0], members, group.order // len(members)))
+    classes.sort(key=lambda c: group.lexkey(c[0]))
+    return classes
 
 
 def element_closure(group, gens, normal_closure=False):

@@ -12,17 +12,18 @@ t not a commutator, (b) the conjugate-to-inverse lifting condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import Fingerprint, fingerprint
-from .linalg import Gf2Span, iter_bits, smith_normal_form
+from .linalg import Gf2Span, iter_bits, least_images, linear_map, smith_normal_form
 from .pcgroup import (
     PcError,
     PcGroup,
     ScaleError,
     Subgroup,
-    _byte_tables,
     _inverse_conjugator_fast,
     abelianization,
     center_transversal,
@@ -49,7 +50,12 @@ class WhPrimeData:
     s_subgroup: Subgroup
     c_subgroup: Subgroup
     rank: int
-    witnesses: List[Tuple[int, int]]  # (g, h) with h^-1 g h = g^-1
+    _pairs: Callable[[], Iterator[Tuple[int, int]]] = field(repr=False)
+
+    @cached_property
+    def witnesses(self) -> List[Tuple[int, int]]:
+        """(g, h), h^-1 g h = g^-1, for each such g in S - [G,G] ascending."""
+        return list(self._pairs())
 
     def as_dict(self) -> Dict:
         g = self.group
@@ -57,9 +63,8 @@ class WhPrimeData:
             "rank": self.rank,
             "s_order": self.s_subgroup.order,
             "c_order": self.c_subgroup.order,
-            "witnesses": [
-                [g.element_str(a), g.element_str(h)] for a, h in self.witnesses[:16]
-            ],
+            "witnesses": [[g.element_str(a), g.element_str(h)]
+                          for a, h in islice(self._pairs(), 16)],
         }
 
 
@@ -67,66 +72,74 @@ def h1_wh_prime(group) -> WhPrimeData:
     """Rank r with H^1(Wh'(Z2^G)) isomorphic to (Z/2)^r.
 
     S is read off the Smith coordinates of `abelianization` with no
-    squaring (`Abelianization.s_elements`: g is in S exactly when every
-    coordinate c_j = 0 mod d_j/2), on both collectors; [G,G] is the
-    abelianization's own.  Witnesses: on class-<=2 pc groups the GF(2)
-    solve of `_inverse_conjugator_fast` once per coset g ^ [G,G] ([G,G] is
-    central of exponent 2, so (gc)^2 = g^2 and [gc, x_i] = [g, x_i]), keyed
-    by g's residue `der.sift(g)`, read off `_byte_tables`: a member of [G,G]
-    multiplies by XOR here, so sifting is GF(2)-linear; otherwise one
-    `conjugacy_orbit` per class, under the d(G) Frattini generators, in
-    element order: if a_y^-1 r a_y = y for the class's first element r,
-    then h = a_y^-1 a_{y^-1} conjugates y to y^-1.
-    C contains [G,G], so it is normal, and every g in S has g^2 in [G,G]:
-    C/[G,G] is the span of the witnesses' classes in S/[G,G], read by
-    `Abelianization.omega_bits`.  C's generators on top of [G,G] are the
-    witnesses, in order, whose class is new; only the first witness of a
-    [G,G]-coset (fast path) or conjugacy class is tried, since a class
-    lies in one coset and the rest share its class, and none once the
-    span is all of S/[G,G].
+    squaring (`Abelianization.s_elements`), on both collectors; [G,G] is
+    the abelianization's own.  C contains [G,G], so it is normal, and
+    C/[G,G] is the span in S/[G,G] (`Abelianization.omega_bits`) of the
+    elements with a witness.  A class lies in one [G,G]-coset, so C's
+    generators over [G,G] are the first members, ascending, of the cosets
+    (fast path) or classes that have a witness and a new omega_bits, until
+    the span is all of S/[G,G].
+
+    Fast path: [G,G] is central of exponent 2, so (gc)^2 = g^2 and
+    [gc, x_i] = [g, x_i]: one `_inverse_conjugator_fast` serves a coset.
+    The cosets are the subset products of the omega_j = (factor generator
+    j)^(d_j/2), keyed by their least members, a `linear_map` of g
+    (`least_images`), and visited ascending, as an ascending walk of S
+    first meets them.  Generic path: one `conjugacy_orbit` per class from
+    its least member r, under the Frattini generators: if a_y^-1 r a_y = y,
+    h = a_y^-1 a_{y^-1} conjugates y to y^-1.  `witnesses` walks S on first
+    read, solving the cosets or walking the classes not yet reached.
     """
     check_element_walk(group, "h1_wh_prime")
     ab = abelianization(group)
-    der = ab.derived
-    fast = group.is_fast
-    if fast:
-        residues = _byte_tables([der.sift(1 << j) for j in range(group.n)])
-        solved: Dict[int, Optional[int]] = {}
-    gens = None if fast else frattini_generators(group)
-    s_elems = ab.s_elements()
-    witnesses: List[Tuple[int, int]] = []
-    orbit_of: Dict[int, Dict[int, int]] = {}
-    span, basis = Gf2Span(), []  # C/[G,G] in omega_bits, and C's generators over [G,G]
-    for g in s_elems:
-        if g in der.elements:
-            continue
-        if fast:
-            key = 0
-            for shift, table in residues:
-                key ^= table[g >> shift & 255]
-            new = key not in solved
-            if new:
-                solved[key] = _inverse_conjugator_fast(group, g)
-            h = solved[key]
-        else:
-            new = g not in orbit_of
-            if new:
+    # S/[G,G] = Omega_1(G^ab), generated by the (factor generator j)^(d_j/2)
+    omega = [group.power(g, d // 2) for g, d in zip(ab.factor_gens, ab.invariants)]
+    if group.is_fast:
+        least = linear_map(least_images(ab.derived.seq, group.n))
+        solved: Dict[int, Optional[int]] = {0: None}  # least member of a coset -> h
+
+        def witness(g: int) -> Optional[int]:
+            key = least(g)
+            if key not in solved:
+                solved[key] = _inverse_conjugator_fast(group, key)
+            return solved[key]
+
+        reps = [group.identity]  # at index v, a member of the coset with omega_bits v
+        for w in omega:
+            reps += [group.mult(r, w) for r in reps]
+        firsts = sorted(zip(map(least, reps), range(len(reps))))
+    else:
+        gens = frattini_generators(group)
+        orbit_of: Dict[int, Dict[int, int]] = {}
+
+        def witness(g: int) -> Optional[int]:
+            if g in ab.derived.elements:
+                return None
+            if g not in orbit_of:
                 orbit = conjugacy_orbit(group, g, _gens=gens)
                 orbit_of.update(dict.fromkeys(orbit, orbit))
             orbit = orbit_of[g]
             to_inv = orbit.get(group.inv(g))
-            h = None if to_inv is None else group.mult(group.inv(orbit[g]), to_inv)
-        if h is not None:
-            witnesses.append((g, h))
-            if new and len(span) < len(ab.invariants) and not span.contains(v := ab.omega_bits(g)):
-                span.add(v)
-                basis.append(g)
-    # S/[G,G] = Omega_1(G^ab), generated by the (factor generator j)^(d_j/2)
-    omega = [group.power(g, d // 2) for g, d in zip(ab.factor_gens, ab.invariants)]
-    s_sub = subgroup(group, der.gens + tuple(omega))
-    c_sub = subgroup(group, der.gens + tuple(basis))
+            return None if to_inv is None else group.mult(group.inv(orbit[g]), to_inv)
+
+        # the first member of each class with a witness; its walk marks the rest
+        firsts = ((g, ab.omega_bits(g)) for g in ab.s_elements()
+                  if g not in orbit_of and witness(g) is not None)
+    span, basis = Gf2Span(), []  # C/[G,G] in omega_bits, and C's generators over [G,G]
+    for g, v in firsts:
+        if len(span) == len(omega):
+            break
+        if v and not span.contains(v) and witness(g) is not None:
+            span.add(v)
+            basis.append(g)
+
+    def pairs() -> Iterator[Tuple[int, int]]:
+        return ((g, h) for g in ab.s_elements() if (h := witness(g)) is not None)
+
+    s_sub = subgroup(group, ab.derived.gens + tuple(omega))
+    c_sub = subgroup(group, ab.derived.gens + tuple(basis))
     rank = (s_sub.order // c_sub.order).bit_length() - 1
-    return WhPrimeData(group, s_sub, c_sub, rank, witnesses)
+    return WhPrimeData(group, s_sub, c_sub, rank, pairs)
 
 
 # sk1 multiplies each pair of `wedge_pairs` both ways in the cover: on the

@@ -6,7 +6,9 @@ lists of lists of ints, reduced modulo a power of two by the Smith form.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from bisect import insort
+from functools import reduce
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 def iter_bits(x: int) -> Iterator[int]:
@@ -27,7 +29,7 @@ class Gf2Span:
     """
 
     def __init__(self, vecs: Iterable[int] = ()) -> None:
-        self._rows: List[Tuple[int, int]] = []  # (vector, combination mask)
+        self._rows: List[Tuple[int, int, int]] = []  # (pivot bit, vector, combination mask)
         self._n_inserted = 0
         for vec in vecs:
             self.add(vec)
@@ -40,8 +42,7 @@ class Gf2Span:
         return len(self._rows)
 
     def _reduce(self, vec: int, combo: int) -> Tuple[int, int]:
-        for row, rcombo in self._rows:
-            pivot = row & -row
+        for pivot, row, rcombo in self._rows:
             if vec & pivot:
                 vec ^= row
                 combo ^= rcombo
@@ -54,8 +55,7 @@ class Gf2Span:
         vec, combo = self._reduce(vec, 1 << idx)
         if vec == 0:
             return False
-        self._rows.append((vec, combo))
-        self._rows.sort(key=lambda rc: rc[0] & -rc[0])
+        insort(self._rows, (vec & -vec, vec, combo))  # pivots are distinct
         return True
 
     def contains(self, vec: int) -> bool:
@@ -73,7 +73,7 @@ class Gf2Span:
         return combo
 
     def basis(self) -> List[int]:
-        return [row for row, _ in self._rows]
+        return [row for _, row, _ in self._rows]
 
 
 def gf2_rank(rows: Sequence[int]) -> int:
@@ -93,6 +93,45 @@ def gf2_rref(rows: Sequence[int]) -> List[int]:
             low = row & -row
             basis = [b ^ row if b & low else b for b in basis] + [row]
     return sorted(basis, key=lambda b: b & -b)
+
+
+def span_elements(basis: List[int]) -> List[int]:
+    """The XOR of each subset of basis, at the index whose bits name it."""
+    out = [0]
+    for b in basis:
+        out += [x ^ b for x in out]
+    return out
+
+
+def linear_map(images: List[int]) -> Callable[[int], int]:
+    """The GF(2)-linear map sending bit j to images[j]: its value at g is
+    the XOR of one table entry per byte of g."""
+    tables = [(s, span_elements(images[s:s + 8])) for s in range(0, len(images), 8)]
+
+    def apply(g: int) -> int:
+        out = 0
+        for shift, table in tables:
+            out ^= table[g >> shift & 255]
+        return out
+    return apply
+
+
+def least_images(vectors: Iterable[int], n: int) -> List[int]:
+    """The least element of x_j ^ span(vectors) for each j < n: over an
+    echelon basis with distinct highest set bits, descending,
+    x = min(x, x ^ row) clears each pivot, and adding a nonzero member of
+    the span then sets a pivot and no higher bit.  x_j is its own image
+    exactly when j is no pivot.  The map is GF(2)-linear: its `linear_map`
+    gives the least member of any g ^ span."""
+    echelon: List[int] = []
+
+    def least(x: int) -> int:
+        return reduce(lambda x, row: min(x, x ^ row), echelon, x)
+    for z in vectors:
+        z = least(z)
+        if z:
+            echelon = sorted(echelon + [z], reverse=True)
+    return [least(1 << j) for j in range(n)]
 
 
 def gf2_kernel(rows: Sequence[int], ncols: int) -> List[int]:

@@ -49,45 +49,6 @@ class TableGroup:
                 return b
         raise ValueError("no inverse")
 
-    def conjugacy_class_count(self) -> int:
-        e_seen = set()
-        count = 0
-        for g in self.element_names:
-            if g in e_seen:
-                continue
-            orbit = {self.mult(self.mult(self.inv(h), g), h) for h in self.element_names}
-            e_seen |= orbit
-            count += 1
-        return count
-
-
-def quaternion_table_group() -> TableGroup:
-    """Q8 as literal quaternions."""
-    units = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-    def mul(a: str, b: str) -> str:
-        sign = 1
-        if a.startswith("-"):
-            sign, a = -sign, a[1:]
-        if b.startswith("-"):
-            sign, b = -sign, b[1:]
-        basic = {
-            ("1", "1"): (1, "1"),
-            ("1", "i"): (1, "i"), ("i", "1"): (1, "i"),
-            ("1", "j"): (1, "j"), ("j", "1"): (1, "j"),
-            ("1", "k"): (1, "k"), ("k", "1"): (1, "k"),
-            ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-        }
-        s, r = basic[(a, b)]
-        sign *= s
-        return r if sign == 1 else "-" + r
-
-    table = {(a, b): mul(a, b) for a in units for b in units}
-    return TableGroup("Q8-units", units, table)
-
 
 def bar_h2(table_group: TableGroup) -> Tuple[int, ...]:
     """H_2(G; Z) from the normalized bar resolution (degree 2 and 3).

@@ -35,12 +35,13 @@ import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
-from operator import xor
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import or_, xor
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import Gf2Span, gf2_kernel, gf2_rref, iter_bits, smith_normal_form, transpose_masks
+from .linalg import (Gf2Span, gf2_kernel, gf2_rref, iter_bits, least_images, linear_map,
+                     smith_normal_form, span_elements, transpose_masks)
 
 Word = Sequence[Tuple[int, int]]  # (1-based generator index, exponent)
 
@@ -125,7 +126,8 @@ class PcGroup:
         self._fast = self._detect_fast_path()
         self._top: Optional[array] = None
         self._conj_top: Optional[array] = None
-        self._comm_tables: Optional[List[Tuple[int, List[int]]]] = None
+        self._comm_map: Optional[Callable[[int], int]] = None
+        self._comm_rows: Optional[tuple] = None  # (relation bits, map to the rows of M_g)
         if self._fast:
             self._tabulate()
         else:
@@ -360,17 +362,14 @@ class PcGroup:
     def comm_images(self, g: int) -> List[int]:
         """[g, x_i] for every pc generator x_i.  Fast path: g -> [g, x_i] is
         GF(2)-linear (F is bilinear), so the n values, packed n bits apart,
-        are the XOR of one entry per byte of g in tables spanned by the
-        packed [x_b, x_i]."""
+        are one `linear_map` of g over the packed [x_b, x_i]."""
         if not self._fast:
             return [self.comm(g, x) for x in self.generators]
-        n, tables = self.n, self._comm_tables
-        if tables is None:
+        n, comm_map = self.n, self._comm_map
+        if comm_map is None:
             rows = [sum(self.comm(1 << b, 1 << i) << i * n for i in range(n)) for b in range(n)]
-            tables = self._comm_tables = _byte_tables(rows)
-        packed = 0
-        for shift, table in tables:
-            packed ^= table[g >> shift & 255]
+            comm_map = self._comm_map = linear_map(rows)
+        packed = comm_map(g)
         return [packed >> i * n & self.order - 1 for i in range(n)]
 
     @property
@@ -650,7 +649,7 @@ class ConjugacyClass:
             return tuple(sorted(self._members, key=self._group.lexkey))
         # rep is 0 at each pivot (lowest bit) of the reduced basis of [rep, G],
         # so the span in descending pivot order runs in `lexkey` order
-        span = _span_elements(gf2_rref(self._group.comm_images(self.rep))[::-1])
+        span = span_elements(gf2_rref(self._group.comm_images(self.rep))[::-1])
         return tuple(self.rep ^ c for c in span)
 
 
@@ -677,7 +676,7 @@ def conjugacy_classes(group) -> List[ConjugacyClass]:
                 span, grown = Gf2Span(k), Gf2Span()
                 comp = [z for z in map(span.reduce, center) if grown.add(z)]
                 squares = [span.reduce(group.square(z)) for z in comp]
-                per_k[k] = span, _span_elements(comp), _span_elements(squares)
+                per_k[k] = span, span_elements(comp), span_elements(squares)
             span, reps, squares = per_k[k]
             r = span.reduce(t)
             q, size = span.reduce(group.square(r)), 1 << len(k)
@@ -798,12 +797,9 @@ def center_transversal(group) -> List[int]:
     central, so the generic walk keys g by its commutators with
     `frattini_generators`, each read as g^-1 (x^-1 g x) through the
     conjugation table, and keeps the first element of each key.  Fast
-    path: Z(G) is a GF(2) subspace of the bit vectors and g Z(G) = g ^ Z(G).
-    Take an echelon basis of Z(G) keyed by highest set bit: each coset has
-    one element that is 0 at every pivot bit, and it is the least, since
-    adding a nonzero central element sets the highest pivot among its terms
-    and no higher bit.  The transversal is every element on the other
-    bits."""
+    path: Z(G) is a GF(2) subspace of the bit vectors and g Z(G) = g ^ Z(G),
+    whose least member is 0 at the pivots of `least_images`: the
+    transversal is every element on the other bits."""
     if not group.is_fast:
         gens = frattini_generators(group)
         keys: Dict[Tuple[int, ...], int] = {}
@@ -811,28 +807,8 @@ def center_transversal(group) -> List[int]:
             g_inv = group.inv(g)
             keys.setdefault(tuple([group.mult(g_inv, group.conj(g, x)) for x in gens]), g)
         return list(keys.values())
-    lead: Dict[int, int] = {}
-    for z in center_span(group).basis():
-        while z:
-            top = z.bit_length() - 1
-            if top not in lead:
-                lead[top] = z
-                break
-            z ^= lead[top]
-    return _span_elements([1 << i for i in range(group.n) if i not in lead])
-
-
-def _span_elements(basis: List[int]) -> List[int]:
-    out = [0]
-    for b in basis:
-        out += [x ^ b for x in out]
-    return out
-
-
-def _byte_tables(images: List[int]) -> List[Tuple[int, List[int]]]:
-    """(shift, table) per byte of g for the GF(2)-linear map sending bit j
-    to images[j]: its value at g is the XOR of the table[g >> shift & 255]."""
-    return [(shift, _span_elements(images[shift:shift + 8])) for shift in range(0, len(images), 8)]
+    least = least_images(center_span(group).basis(), group.n)
+    return span_elements([1 << j for j, x in enumerate(least) if x == 1 << j])
 
 
 def conjugate_to_inverse_witness(group, g: int) -> Optional[int]:
@@ -844,16 +820,26 @@ def conjugate_to_inverse_witness(group, g: int) -> Optional[int]:
 
 def _inverse_conjugator_fast(group: PcGroup, g: int) -> Optional[int]:
     """Fast path: g^-1 = g * g^-2 and the conjugates of g are g * [g, G], so
-    solve for g^-2 = g^2 (central of order <= 2 here) in the GF(2) span of
-    the [g, x_i] and multiply out the generators of the combination."""
-    span = Gf2Span(group.comm_images(g))
-    combo = span.solve(group.square(g))
-    if combo is None:
+    solve M_g h = g^2 (central of order <= 2 here) over GF(2).  Row r of M_g
+    holds bit p_r of each [g, x_i], packed n bits apart by a `linear_map` of
+    g cached on the group, for the bits p_r of relation values: they hold
+    every [g, x_i] and g^2, so g^2 outside [G,G] leaves the row 1 << n.  With
+    g^2 as column n and pivots at the lowest column, the pivot columns are
+    the first independent [g, x_i], as in `Gf2Span.solve`; h is the ascending
+    product, here the XOR, of the x_i at pivots whose row holds column n."""
+    n, cached = group.n, group._comm_rows
+    if cached is None:
+        bits = list(iter_bits(reduce(or_, group.powers + sum(group.comms, ()), 0)))
+        rows = [sum((c >> p & 1) << r * n + i for r, p in enumerate(bits)
+                    for i, c in enumerate(group.comm_images(1 << b))) for b in range(n)]
+        cached = group._comm_rows = bits, linear_map(rows)
+    bits, row_map = cached
+    packed, square = row_map(g), group.square(g)
+    reduced = gf2_rref([packed >> r * n & group.order - 1 | (square >> p & 1) << n
+                        for r, p in enumerate(bits)])
+    if reduced and reduced[-1] == 1 << n:
         return None
-    h = 0
-    for i in iter_bits(combo):
-        h = group.mult(h, group.generators[i])
-    return h
+    return sum(row & -row for row in reduced if row >> n & 1)
 
 
 @dataclass
@@ -1033,7 +1019,7 @@ class Abelianization:
         return sum((acc >> s + d.bit_length() - 2 & 1) << j
                    for j, (s, d) in enumerate(zip(self._shifts, self.invariants)))
 
-    def s_elements(self) -> List[int]:
+    def s_elements(self) -> Iterator[int]:
         """S = {g : g^2 in [G,G]}, ascending, with no squaring: g^2 has the
         coordinates 2 c_j, so g is in S exactly when every c_j = 0 mod
         d_j/2, i.e. when the low log2(d_j) - 1 bits of every field of the
@@ -1043,10 +1029,8 @@ class Abelianization:
         most 2^h subset sums of the packed rows."""
         mask, h = self._s_mask, (self.group.n + 1) // 2
         lo_sums, hi_sums = _subset_sums(self._packed[:h]), _subset_sums(self._packed[h:])
-        out: List[int] = []
         for hi, hs in enumerate(hi_sums):
-            out += [hi << h | lo for lo, ls in enumerate(lo_sums) if not hs + ls & mask]
-        return out
+            yield from [hi << h | lo for lo, ls in enumerate(lo_sums) if not hs + ls & mask]
 
     def certificate_failure(self) -> Optional[str]:
         group, d = self.group, self.invariants

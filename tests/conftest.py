@@ -5,14 +5,15 @@ import pytest
 
 from twogroups.catalog import shipped_catalog
 from twogroups.homology import schur_cover
-from twogroups.linalg import gf2_rank, gf2_rref
+from twogroups.linalg import Gf2Span, gf2_rank, gf2_rref, iter_bits, span_elements
 from twogroups.pcgroup import (
     PcGroup,
-    _span_elements,
+    abelianization,
     center_span,
     check_element_walk,
     conjugacy_orbit,
     frattini_generators,
+    subgroup,
 )
 
 SHIPPED_SMALL = ["C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8",
@@ -21,6 +22,12 @@ SHIPPED_SMALL = ["C2", "C4", "C8", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8",
 RKM = [(3, 2, 1), (3, 2, 2), (4, 2, 1), (4, 2, 2), (4, 3, 1), (4, 3, 2), (3, 4, 3)]
 # order 2^10, for the per-coset fast paths: [G,G]-cosets of 2^4 and 2^5
 RKM_LARGER = [(6, 4, 1), (5, 5, 2)]
+# the shipped groups on the class-2 fast path
+SHIPPED_FAST = ["C2", "C4", "C2xC2", "C2xC2xC2", "C2xC4", "D8", "Q8", "SG128_1376",
+                "SG128_1377", "SG256_8129", "SG256_8177", "SG256_9039", "G16384"]
+# the shipped groups with a central block, which `relabel` needs
+CENTRAL_BLOCK = ["SG128_1376", "SG128_1377", "SG256_8129", "SG256_8177", "SG256_9039",
+                 "G16384"]
 COVERED = ["D8", "C8", "C2xC4"]
 # covers of covers, all on the generic collector (orders 16, 64, 32)
 TWICE_COVERED = ["C2xC2", "C2xC4", "D8"]
@@ -120,7 +127,7 @@ def listing_walk(group):
                 continue
             key = center.reduce(g)
             if key not in spans:
-                spans[key] = _span_elements(gf2_rref(group.comm_images(g))[::-1])
+                spans[key] = span_elements(gf2_rref(group.comm_images(g))[::-1])
             span = spans[key]
             r = g  # span[2^i] is basis row i
             for i in range(len(span).bit_length() - 1):
@@ -142,6 +149,67 @@ def listing_walk(group):
             classes.append((members[0], members, group.order // len(members)))
     classes.sort(key=lambda c: group.lexkey(c[0]))
     return classes
+
+
+def span_inverse_conjugator(group, g):
+    """h with h^-1 g h = g^-1 on the fast path, or None: g^2 solved in the
+    `Gf2Span` of the [g, x_i], the combination multiplied out in ascending
+    order.  The oracle of the packed-row `_inverse_conjugator_fast`."""
+    combo = Gf2Span(group.comm_images(g)).solve(group.square(g))
+    if combo is None:
+        return None
+    h = group.identity
+    for i in iter_bits(combo):
+        h = group.mult(h, 1 << i)
+    return h
+
+
+def element_walk(group, ab):
+    """(g, h, new) for each g in S - [G,G], ascending, that some h
+    conjugates to g^-1, with new when g is the first member of its
+    [G,G]-coset (fast path) or class (generic path): the walk over every
+    element of S that `h1_wh_prime` made before it walked cosets.  Fast
+    path: one `span_inverse_conjugator` per coset, keyed by `sift`;
+    generic path: one orbit per class from its first member r, and
+    h = a_y^-1 a_{y^-1} when a_y^-1 r a_y = y."""
+    der = ab.derived
+    gens = frattini_generators(group)
+    solved, orbit_of = {}, {}
+    for g in ab.s_elements():
+        if g in der.elements:
+            continue
+        if group.is_fast:
+            key = der.sift(g)
+            new = key not in solved
+            if new:
+                solved[key] = span_inverse_conjugator(group, g)
+            h = solved[key]
+        else:
+            new = g not in orbit_of
+            if new:
+                orbit = conjugacy_orbit(group, g, _gens=gens)
+                orbit_of.update(dict.fromkeys(orbit, orbit))
+            orbit = orbit_of[g]
+            to_inv = orbit.get(group.inv(g))
+            h = None if to_inv is None else group.mult(group.inv(orbit[g]), to_inv)
+        if h is not None:
+            yield g, h, new
+
+
+def element_walk_h1(group):
+    """(rank, S, C, witnesses) from `element_walk`: C's generators over
+    [G,G] are the first members, in order, whose class in S/[G,G] is new.
+    The oracle of `h1_wh_prime`."""
+    ab = abelianization(group)
+    witnesses, span, basis = [], Gf2Span(), []
+    for g, h, new in element_walk(group, ab):
+        witnesses.append((g, h))
+        if new and len(span) < len(ab.invariants) and span.add(ab.omega_bits(g)):
+            basis.append(g)
+    omega = [group.power(g, d // 2) for g, d in zip(ab.factor_gens, ab.invariants)]
+    s_sub = subgroup(group, ab.derived.gens + tuple(omega))
+    c_sub = subgroup(group, ab.derived.gens + tuple(basis))
+    return (s_sub.order // c_sub.order).bit_length() - 1, s_sub, c_sub, witnesses
 
 
 def element_closure(group, gens, normal_closure=False):

@@ -5,19 +5,20 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import twogroups.ktheory
-from conftest import rkm
+from conftest import element_walk, rkm
 from twogroups import cli
 from twogroups.catalog import serialize_catalog
 from twogroups.cli import main
 from twogroups.f2poly import PolyError
 from twogroups.lhs import LhsError
 from twogroups.ooze import OozeError
-from twogroups.pcgroup import ELEMENT_WALK_BOUND, PcError, PcGroup, ScaleError
+from twogroups.pcgroup import ELEMENT_WALK_BOUND, PcError, PcGroup, ScaleError, abelianization
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -300,6 +301,32 @@ def test_search_ext_refuses_the_commutator_scan_at_once(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr[-2000:]
     assert "commutator scan bound is |G/Z(G)|^2 <= 2^24, got 2^32" in proc.stderr
+
+
+def test_h1whp_and_lambda4_walk_cosets_at_2_20(tmp_path):
+    # R(16,4) seed 1604 at the element walk bound (|G| = 2^20, S = G): one
+    # solve per [G,G]-coset, and as_dict lists only the 16 witnesses it
+    # prints; a child process, so that a walk of S that does start fails
+    # here by the timeout instead of stalling
+    g = rkm(16, 4, 1604)
+    path = tmp_path / "r16_4.cat"
+    path.write_text(serialize_catalog([g]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
+    reports = {}
+    for command in ["h1whp", "lambda4"]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twogroups.cli", command, g.name, "--catalog", str(path),
+             "--json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        reports[command] = json.loads(proc.stdout)
+    assert reports["h1whp"]["value"] == {"rank": 0}
+    first = islice(element_walk(g, abelianization(g)), 16)
+    assert reports["h1whp"]["certificate"]["witnesses"] == [
+        [g.element_str(a), g.element_str(h)] for a, h, _new in first]
+    assert reports["lambda4"]["value"]["verdict"] == "zero"
 
 
 def test_cover_finishes_on_growth_seeds(tmp_path):

@@ -349,6 +349,34 @@ def test_conj62_matches_element_set_oracle(small_family):
     assert nonempty >= 10
 
 
+def in_one_coset_by_members(group, cls, normal):
+    """Every member of the class lies in rep * normal: the per-member check
+    that conjecture62_scan made before it read the [rep, x_i]."""
+    r_inv = group.inv(cls.rep)
+    return all(group.mult(r_inv, x) in normal for x in cls.elements)
+
+
+def test_conj62_commutator_check_matches_member_check(cat, small_family):
+    # a class r^G lies in one coset of a normal K exactly when every
+    # [r, x_i] is in K; conjecture62_scan reads K = [G,G] as the kernel of
+    # the pi^ab coordinates.  Other normal K make both sides fail too.
+    groups = small_family + [m16(), c8_c4_twisted(), cat["SG256_9039"]]
+    groups += [rkm(*args) for args in RKM_LARGER]
+    outcomes = set()
+    for g in groups:
+        ab = abelianization(g)
+        normals = [subgroup(g, [x], normal_closure=True) for x in (g.generators[0], 1 << g.n - 1)]
+        for cls in conjugacy_classes(g):
+            images = g.comm_images(cls.rep)
+            assert in_one_coset_by_members(g, cls, ab.derived), g.name
+            assert not any(any(ab.coordinates(c)) for c in images), g.name
+            for k in normals:
+                by_members = in_one_coset_by_members(g, cls, k)
+                assert by_members == all(c in k for c in images), (g.name, cls.rep)
+                outcomes.add(by_members)
+    assert outcomes == {False, True}
+
+
 def test_lambda4_undecided_on_non_lhs_group():
     # C8 x| C4 with b a b^-1 = a^5: H^1(Wh') has rank 1, but the Frattini
     # subgroup is not elementary abelian, so neither the certificate nor the

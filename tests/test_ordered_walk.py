@@ -2,12 +2,13 @@
 replaced.
 
 The fast class walk lists each class in `lexkey` order from its least
-member, `h1_wh_prime` keys the cosets of [G,G] by byte tables, and
-`fingerprint` counts element orders once per class.  The oracles below are
-the replaced code, kept here: the per-coset walk that sorted every class by
-`lexkey`, one `Gf2Span.reduce` per element, and one `element_order` per
-element of G.  `GenericView` copies run the generic walks, which still
-sort; both must give the same classes in the same order.
+member, `h1_wh_prime` keys the cosets of [G,G] by their least members,
+read off byte tables, and `fingerprint` counts element orders once per
+class.  The oracles below are the replaced code, kept here: the per-coset
+walk that sorted every class by `lexkey`, one `Gf2Span.reduce` per
+element, and one `element_order` per element of G.  `GenericView` copies
+run the generic walks, which still sort; both must give the same classes
+in the same order.
 """
 
 from collections import Counter
@@ -18,10 +19,9 @@ import pytest
 from conftest import RKM_LARGER, GenericView, rkm
 from twogroups.catalog import fingerprint, parse_catalog
 from twogroups.ktheory import h1_wh_prime
-from twogroups.linalg import Gf2Span, gf2_kernel, transpose_masks
+from twogroups.linalg import (Gf2Span, gf2_kernel, least_images, linear_map, span_elements,
+                              transpose_masks)
 from twogroups.pcgroup import (
-    _byte_tables,
-    _span_elements,
     abelianization,
     center_span,
     center_transversal,
@@ -52,7 +52,7 @@ def sorting_walk(group):
             if key not in per_coset:
                 image = [group.comm(g, x) for x in group.generators]
                 gens = gf2_kernel(transpose_masks(image), group.n)
-                per_coset[key] = (_span_elements(Gf2Span(image).basis()), gens)
+                per_coset[key] = (span_elements(Gf2Span(image).basis()), gens)
             span, gens = per_coset[key]
             members = [g ^ c for c in span]
             seen.update(members)
@@ -134,14 +134,14 @@ def test_h1_wh_prime_residue_tables_match_reduce(small_family):
     groups = [g for g in small_family if g.is_fast] + [rkm(*a) for a in RKM_LARGER]
     assert max(g.n for g in groups) > 8
     for g in groups:
-        span = Gf2Span(abelianization(g).derived.gens)
-        tables = _byte_tables([span.reduce(1 << j) for j in range(g.n)])
+        der = abelianization(g).derived
+        span = Gf2Span(der.gens)
+        residue = linear_map([span.reduce(1 << j) for j in range(g.n)])
+        least = linear_map(least_images(der.seq, g.n))
         for x in g.elements():
-            key = 0
-            for shift, table in tables:
-                key ^= table[x >> shift & 255]
-            assert key == span.reduce(x), (g.name, x)
-        # the witnesses themselves are pinned against one solve per element
+            assert residue(x) == span.reduce(x), (g.name, x)
+            assert least(x) == min(x ^ c for c in der.elements), (g.name, x)
+        # the witnesses themselves are pinned against the per-element walk
         # by test_ktheory.py::test_h1_wh_prime_coset_witness_matches_per_element_solve
         fast = h1_wh_prime(g)
         q = GenericView(g)

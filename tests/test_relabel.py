@@ -11,13 +11,10 @@ import random
 
 import pytest
 
-from conftest import RKM, RKM_LARGER, relabel, rkm
+from conftest import CENTRAL_BLOCK, RKM, RKM_LARGER, relabel, rkm
 from twogroups.catalog import fingerprint
 from twogroups.ktheory import h1_wh_prime, search_central_extensions
 
-# the shipped groups with a central block; G16384 costs about 2 s a side
-CENTRAL_BLOCK = ["SG128_1376", "SG128_1377", "SG256_8129", "SG256_8177", "SG256_9039",
-                 "G16384"]
 # the R(k,m) ladder, with R(4,4) seed 406 for a search-ext entry off the catalog
 LADDER = RKM + RKM_LARGER + [(4, 4, 406)]
 
@@ -34,7 +31,7 @@ def invariants(group):
 def test_relabelled_shipped_groups(cat):
     for name in CENTRAL_BLOCK:
         g = cat[name]
-        seeds = range(1) if g.n > 8 else range(3)
+        seeds = range(1) if g.n > 8 else range(3)  # G16384 costs about 2 s a side
         want = invariants(g)
         for seed in seeds:
             assert invariants(relabel(g, random.Random(seed))) == want, (name, seed)

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .catalog import Fingerprint, fingerprint
-from .linalg import Gf2Span, iter_bits, least_images, linear_map, smith_normal_form
+from .linalg import (Gf2Span, gf2_rref, iter_bits, least_images, linear_map,
+                     smith_normal_form, span_elements)
 from .pcgroup import (
     PcError,
     PcGroup,
@@ -153,8 +154,6 @@ def h1_wh_prime(group) -> WhPrimeData:
 # generic collector, 9,328 pairs) 0.6-1.5 s at a 38 MB peak in-process,
 # its own cover presentation included.
 SK1_PAIR_BOUND = 1 << 18
-# commutator_values scans |G/Z(G)|^2 pairs at about 1.5 us each: README "Scale bounds"
-COMMUTATOR_PAIR_BOUND = 1 << 24
 
 
 def check_sk1_pairs(group) -> None:
@@ -283,27 +282,31 @@ def central_extension_from_hom(cover_group, alpha) -> CentralExtensionData:
     return _extension(cover_group, ker.seq[0], alpha)
 
 
-def commutator_values(group) -> Dict[int, Tuple[int, int]]:
-    """Each commutator [g, h] of G (the set, not its span) mapped to its
-    first pair (g, h) in one scan over a transversal of the center in both
-    arguments, g outer: [gz, h] = [g, hz] = [g, h] for central z."""
-    from .parallel import map_chunks
-
+def commutator_values(group, transversal: Sequence[int]) -> Dict[int, int]:
+    """Each central commutator t mapped to the first g of `center_transversal`
+    with t in [g, G] = g^-1 g^G: the g of the first pair (g, h) of the scan
+    over the transversal in both arguments, since [gz, h] = [g, hz] = [g, h]
+    for central z.  One pass, until the keys fill [G,G].  Fast path: [g, G]
+    is the span of `comm_images`(g).  Generic path: g^-1 y over the
+    `conjugacy_orbit` of g, skipping g if an earlier walk listed its class,
+    as `wedge_pairs` does; [g^a, G] = [g, G]^a has the same central values,
+    so the pass is at most one class walk.  Non-central keys may be missing
+    or map to a later g."""
     check_element_walk(group, "commutator_values")
-    elems = center_transversal(group)
-    if len(elems) ** 2 > COMMUTATOR_PAIR_BOUND:
-        raise ScaleError(f"commutator scan bound is |G/Z(G)|^2 <= "
-                         f"2^{COMMUTATOR_PAIR_BOUND.bit_length() - 1}, "
-                         f"got 2^{2 * len(elems).bit_length() - 2}")
-
-    def scan(chunk):
-        first: Dict[int, Tuple[int, int]] = {}
-        for g in chunk:
-            for h in elems:
-                first.setdefault(group.comm(g, h), (g, h))
-        return first
-
-    return map_chunks(scan, elems)[0]
+    size, first, walked = derived_subgroup(group).order, {}, set()
+    gens = None if group.is_fast else frattini_generators(group)
+    for g in transversal:
+        if len(first) == size:
+            break
+        if gens is None:
+            values = span_elements(gf2_rref(group.comm_images(g)))
+        else:
+            orbit = {} if g in walked else conjugacy_orbit(group, g, _gens=gens)
+            walked.update(orbit)
+            values = map(group.mult, repeat(group.inv(g)), orbit)
+        for c in values:
+            first.setdefault(c, g)
+    return first
 
 
 @dataclass
@@ -327,15 +330,12 @@ def thm41_check(ext: CentralExtensionData) -> CriterionResult:
     g, t = ext.cover_group, ext.t
     if not ext.sigma_in_derived:
         return CriterionResult(False, {"reason": "sigma not inside derived subgroup"})
-    pair = commutator_values(g).get(t)
-    if pair is not None:
-        return CriterionResult(
-            False,
-            {
-                "reason": "sigma generator is a commutator",
-                "pair": [g.element_str(pair[0]), g.element_str(pair[1])],
-            },
-        )
+    elems = center_transversal(g)
+    a = commutator_values(g, elems).get(t)
+    if a is not None:
+        b = next(b for b in elems if g.comm(a, b) == t)
+        pair = [g.element_str(a), g.element_str(b)]
+        return CriterionResult(False, {"reason": "sigma generator is a commutator", "pair": pair})
     return CriterionResult(True, {"sigma": g.element_str(t)})
 
 
@@ -380,7 +380,7 @@ def search_central_extensions(group) -> List[ExtensionSearchEntry]:
     itself a commutator; quotients are deduplicated by fingerprint."""
     check_element_walk(group, "search_central_extensions")
     std = standard_subgroups(group)
-    commutators = commutator_values(group)
+    commutators = commutator_values(group, center_transversal(group))
     entries: List[ExtensionSearchEntry] = []
     seen_fps = []
     for t in std.center_cap_derived.sorted_elements():

@@ -1,8 +1,8 @@
 """The one seam through which the bulk scans run their candidates.
 
-`commutator_values` and the `commuting_pairs` oracle hand their scan to
-`map_chunks`, which runs it serially in one chunk: a thread pool was bound
-by the interpreter lock and measured slower with two workers than with one.
+The `commuting_pairs` oracle hands its scan to `map_chunks`, which runs
+it serially in one chunk: a thread pool was bound by the interpreter lock
+and measured slower with two workers than with one.
 The module stays because the benchmark's layer tracer imports it and wraps
 `map_chunks` by name.
 """

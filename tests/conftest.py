@@ -10,6 +10,7 @@ from twogroups.pcgroup import (
     PcGroup,
     abelianization,
     center_span,
+    center_transversal,
     check_element_walk,
     conjugacy_orbit,
     frattini_generators,
@@ -89,6 +90,20 @@ def class_centralizers(group):
             if s != group.identity:
                 schreier[s] = None
         yield g, list(schreier)
+
+
+def commutator_scan(group):
+    """Each commutator [g, h] of G (the set, not its span) mapped to its
+    first pair (g, h) in one scan over `center_transversal` in both
+    arguments, g outer: [gz, h] = [g, hz] = [g, h] for central z.  The
+    |G/Z(G)|^2 pair scan that `ktheory.commutator_values` replaced with one
+    pass, kept as its oracle and that of the pair `thm41_check` prints."""
+    elems = center_transversal(group)
+    first = {}
+    for g in elems:
+        for h in elems:
+            first.setdefault(group.comm(g, h), (g, h))
+    return first
 
 
 def elementary_coordinates(mult, zero, candidates):

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import RKM, RKM_LARGER, GenericView, rkm
-from twogroups.catalog import fingerprint
+from conftest import RKM, RKM_LARGER, SHIPPED_FAST, GenericView, commutator_scan, rkm
+from twogroups.catalog import fingerprint, parse_catalog
 from twogroups.homology import schur_cover
 from twogroups import homology
 from twogroups.ktheory import (
+    CentralExtensionData,
     central_extension,
     central_extension_from_hom,
     commutator_values,
@@ -31,6 +32,7 @@ from twogroups.pcgroup import (
     tails_rows,
 )
 
+COVERS_CAT = Path(__file__).parents[1] / "perfbench" / "covers.cat"
 
 WH_EXPECTED = {
     "SG128_1377": 0,
@@ -204,25 +206,31 @@ def test_cross_validation_thm41_implies_sk1_nonzero(cat):
         assert [sk1(e.extension.quotient).invariants for e in entries] == expected[g.name]
 
 
-def test_commutator_values_match_bruteforce(cat):
-    # the second input, the cover of the cover of D8, is on the generic collector
-    twice = schur_cover(schur_cover(cat["D8"]).cover).cover
-    assert not twice.is_fast
-    for g in [cat["SG128_1376"], twice]:
-        brute = {g.comm(a, b) for a in g.elements() for b in g.elements()}
-        assert set(commutator_values(g)) == brute, g.name
+def test_commutator_values_and_thm41_pairs_match_the_pair_scan(cat, small_family):
+    # for every central t: membership among the keys, the first g, and the
+    # pair thm41_check prints, against the scan; non-central values are not
+    # compared, since the generic pass skips classes an earlier walk listed
+    groups = small_family + [rkm(*a) for a in RKM_LARGER] + [cat[n] for n in SHIPPED_FAST]
+    groups += [GenericView(g) for g in groups if g.is_fast and g.order <= 1 << 10]
+    groups += parse_catalog(COVERS_CAT.read_text())
+    assert sum(not g.is_fast for g in groups) > 40
+    for g in groups:
+        scan = commutator_scan(g)
+        first = commutator_values(g, center_transversal(g))
+        for t in standard_subgroups(g).center.sorted_elements():
+            pair = scan.get(t)
+            assert first.get(t) == (pair[0] if pair else None), (g.name, t)
+            res = thm41_check(CentralExtensionData(g, t, None, True))
+            assert res.holds == (pair is None), (g.name, t)
+            if pair is not None:
+                assert res.witness["pair"] == [g.element_str(x) for x in pair], (g.name, t)
 
 
-def test_commutator_values_keep_the_first_pair_in_scan_order(cat):
-    # thm41_check prints the pair: the first (a, b) over the center
-    # transversal, a outer, whose commutator is the value
-    for g in [cat["SG256_8177"], schur_cover(schur_cover(cat["D8"]).cover).cover]:
-        elems = center_transversal(g)
-        first = {}
-        for a in elems:
-            for b in elems:
-                first.setdefault(g.comm(a, b), (a, b))
-        assert commutator_values(g) == first, g.name
+def test_search_ext_answers_at_2_20_without_a_pair_scan():
+    # |G/Z(G)|^2 is 2^24 and 2^20 pairs here; one pass over the
+    # transversal finds every central commutator
+    for k, m, seed in [(12, 8, 1208), (10, 10, 1010)]:
+        assert search_central_extensions(rkm(k, m, seed)) == [], (k, m)
 
 
 def test_center_transversal_matches_generic_walk(cat, small_family):

@@ -206,6 +206,40 @@ def test_cross_validation_thm41_implies_sk1_nonzero(cat):
         assert [sk1(e.extension.quotient).invariants for e in entries] == expected[g.name]
 
 
+def test_commutator_values_match_bruteforce(cat):
+    # the second input, the cover of the cover of D8, is on the generic
+    # collector; every key is a commutator, and the central keys are exactly
+    # the central commutators over all pairs of elements
+    twice = schur_cover(schur_cover(cat["D8"]).cover).cover
+    assert not twice.is_fast
+    for g in [cat["SG128_1376"], twice]:
+        brute = {g.comm(a, b) for a in g.elements() for b in g.elements()}
+        center = set(standard_subgroups(g).center.sorted_elements())
+        keys = set(commutator_values(g, center_transversal(g)))
+        assert keys <= brute, g.name
+        assert keys & center == brute & center, g.name
+
+
+def test_commutator_values_keep_the_first_pair_in_scan_order(cat):
+    # thm41_check prints the pair: the first (a, b) over the center
+    # transversal, a outer, whose commutator is the value; commutator_values
+    # keeps its a for each central value
+    for g in [cat["SG256_8177"], schur_cover(schur_cover(cat["D8"]).cover).cover]:
+        elems = center_transversal(g)
+        first = {}
+        for a in elems:
+            for b in elems:
+                first.setdefault(g.comm(a, b), (a, b))
+        values = commutator_values(g, elems)
+        center = standard_subgroups(g).center.sorted_elements()
+        central = [t for t in center if t in first]
+        assert central, g.name
+        assert {t: values[t] for t in central} == {t: first[t][0] for t in central}, g.name
+        for t in central:
+            res = thm41_check(CentralExtensionData(g, t, None, True))
+            assert res.witness["pair"] == [g.element_str(x) for x in first[t]], g.name
+
+
 def test_commutator_values_and_thm41_pairs_match_the_pair_scan(cat, small_family):
     # for every central t: membership among the keys, the first g, and the
     # pair thm41_check prints, against the scan; non-central values are not

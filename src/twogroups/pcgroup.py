@@ -74,6 +74,16 @@ def check_element_walk(group, what: str) -> None:
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
+def _overlaps(k: int) -> Iterator[Tuple[int, int, int]]:
+    """The standard overlaps x_k x_j x_i, k >= j >= i, of one k (0-based)."""
+    yield k, k, k
+    for j in range(k):
+        yield k, k, j
+        yield k, j, j
+        for i in range(j):
+            yield k, j, i
+
+
 def _lexkey(bits: int, n: int) -> int:
     """Order normal forms by exponent tuple (e_1, ..., e_n) lexicographically:
     the n-bit reversal of bits, whole bytes reversed through a table."""
@@ -123,6 +133,7 @@ class PcGroup:
         self._inv_cache: Dict[int, int] = {0: 0}
         self._conj_gen_cache: Dict[Tuple[int, int], int] = {}
         self._mult_gen_cache: Dict[Tuple[int, int], int] = {}
+        self._gen_powers: Dict[Tuple[int, int], int] = {}  # (gen, exp) -> x_gen^exp
         self._fast = self._detect_fast_path()
         self._top: Optional[array] = None
         self._conj_top: Optional[array] = None
@@ -218,25 +229,17 @@ class PcGroup:
         return acc
 
     def _tabulate_top(self) -> None:
-        """An empty product table over the central tail K.
-
-        K = <x_{s+1}, ..., x_n> for the least s at which every later
-        generator commutes with every generator; `_top_xor` tells that they
-        also have power 0 (not so for x9 in Cover_R3_3_s303, s = 6).  When
-        that leaves s = 0 (every generator central, as in C8), K is the
-        elementary tail instead: the trailing generators of power 0.  If
-        0 < s <= CHUNK_BITS, `_top` gets 2^(2s) entries of -1, and entry
-        a_t << s | b_t is replaced by the collector's a_t b_t on first use
+        """An empty product table over the central tail K =
+        <x_{s+1}, ..., x_n> of `central_tail`; `_top_xor` tells that its
+        generators also have power 0 (not so for x9 in Cover_R3_3_s303,
+        s = 6).  If 0 < s <= CHUNK_BITS, `_top` gets 2^(2s) entries of -1,
+        and entry a_t << s | b_t is replaced by the collector's a_t b_t on first use
         (`mult`): filling whole rows is slower, since the class walks
         touch many rows but few entries in each.  `conj` allocates its
         table `_conj_top` alike.  Entries are 32-bit words below 32
         generators and 64-bit words up to 63 (both tables: at most 1 MB at
         s = 8); at s = 0 or on more generators the collector is kept."""
-        n, s = self.n, self.n
-        while s and not any(self.comms[s - 1]) and not any(row[s - 1] for row in self.comms):
-            s -= 1
-        if not s:  # all central: up to the last powered generator
-            s = max((i + 1 for i, p in enumerate(self.powers) if p), default=0)
+        n, s = self.n, central_tail(self)
         # set even without a table, so that every generic group has one attribute
         # layout: left unset on C8, the covers' walks ran about 10 % slower
         self._top_bits, self._top_mask = s, (1 << s) - 1
@@ -407,12 +410,16 @@ class PcGroup:
     # -- words ----------------------------------------------------------------
 
     def collect(self, word: Word) -> int:
-        """Normal form of a word of (1-based generator index, exponent) pairs."""
-        res = 0
+        """Normal form of a word of (1-based generator index, exponent) pairs;
+        each x_gen^exp is computed once per group."""
+        res, memo = 0, self._gen_powers
         for gen, exp in word:
-            if not 1 <= gen <= self.n:
-                raise PcError(f"generator index {gen} out of range 1..{self.n}")
-            res = self.mult(res, self.power(1 << (gen - 1), exp))
+            p = memo.get((gen, exp))
+            if p is None:
+                if not 1 <= gen <= self.n:
+                    raise PcError(f"generator index {gen} out of range 1..{self.n}")
+                p = memo[gen, exp] = self.power(1 << (gen - 1), exp)
+            res = self.mult(res, p)
         return res
 
     def element_from_indices(self, indices: Iterable[int]) -> int:
@@ -433,31 +440,14 @@ class PcGroup:
         consistent, so normal forms are unique and |G| = 2^n.
         """
         bad: List[Tuple[int, ...]] = []
-        gens = self.generators
-        mult = self.mult
+        gens, mult = self.generators, self.mult
         for k in range(self.n - 1, -1, -1):
-            gk = gens[k]
-            # x_k x_k x_k
-            if mult(mult(gk, gk), gk) != mult(gk, mult(gk, gk)):
-                bad.append((k + 1, k + 1, k + 1))
-                if stop_early:
-                    return bad
-            for j in range(k):
-                gj = gens[j]
-                if mult(mult(gk, gk), gj) != mult(gk, mult(gk, gj)):
-                    bad.append((k + 1, k + 1, j + 1))
+            for _k, j, i in _overlaps(k):
+                a, b, c = gens[k], gens[j], gens[i]
+                if mult(mult(a, b), c) != mult(a, mult(b, c)):
+                    bad.append((k + 1, j + 1, i + 1))
                     if stop_early:
                         return bad
-                if mult(mult(gk, gj), gj) != mult(gk, mult(gj, gj)):
-                    bad.append((k + 1, j + 1, j + 1))
-                    if stop_early:
-                        return bad
-                for i in range(j):
-                    gi = gens[i]
-                    if mult(mult(gk, gj), gi) != mult(gk, mult(gj, gi)):
-                        bad.append((k + 1, j + 1, i + 1))
-                        if stop_early:
-                            return bad
         return bad
 
     def __repr__(self) -> str:
@@ -483,6 +473,17 @@ class Element:
 
     def __str__(self) -> str:
         return self.group.element_str(self.bits)
+
+
+def central_tail(group) -> int:
+    """The least s at which x_{s+1}, ..., x_n commute with every generator,
+    so that they span a central subgroup K.  When that leaves s = 0 (every
+    generator central, as in C8), s is one past the last powered generator
+    instead, and K is elementary."""
+    s = group.n
+    while s and not any(group.comms[s - 1]) and not any(row[s - 1] for row in group.comms):
+        s -= 1
+    return s or max((i + 1 for i, p in enumerate(group.powers) if p), default=0)
 
 
 def frattini_generators(group) -> List[int]:
@@ -634,22 +635,22 @@ class ConjugacyClass:
     """A class as a record: its `lexkey`-least member `rep`, its size,
     |C_G(rep)| and whether it holds rep^-1.  `elements` lists the members
     in `lexkey` order when first read: rep ^ [rep, G] on the fast path,
-    else the orbit that the generic walk kept."""
+    else the `conjugacy_orbit` of rep."""
 
     rep: int
     size: int
     centralizer_order: int
     is_real: bool
     _group: object = field(default=None, repr=False, compare=False)
-    _members: Optional[Tuple[int, ...]] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def elements(self) -> Tuple[int, ...]:
-        if self._members is not None:
-            return tuple(sorted(self._members, key=self._group.lexkey))
+        group = self._group
+        if not group.is_fast:
+            return tuple(sorted(conjugacy_orbit(group, self.rep), key=group.lexkey))
         # rep is 0 at each pivot (lowest bit) of the reduced basis of [rep, G],
         # so the span in descending pivot order runs in `lexkey` order
-        span = span_elements(gf2_rref(self._group.comm_images(self.rep))[::-1])
+        span = span_elements(gf2_rref(group.comm_images(self.rep))[::-1])
         return tuple(self.rep ^ c for c in span)
 
 
@@ -663,8 +664,7 @@ def conjugacy_classes(group) -> List[ConjugacyClass]:
     complement of K in Z(G), reducing by K's echelon basis, pivot at the
     lowest bit.  r is real when r^-1 = r ^ r^2 is in r ^ K: r^2 reduces to
     0; r -> r^2 is linear on Z(G), so those residues are spanned with the
-    reps.  Generic path: one `conjugacy_orbit` per class, under the d(G)
-    `frattini_generators`; the rep is its `lexkey`-least member."""
+    reps.  Generic path: `_lifted_classes`."""
     check_element_walk(group, "conjugacy_classes")
     classes = []
     if group.is_fast:
@@ -683,18 +683,68 @@ def conjugacy_classes(group) -> List[ConjugacyClass]:
             classes += [ConjugacyClass(r ^ c, size, group.order // size, q == s, group)
                         for c, s in zip(reps, squares)]
     else:
-        gens = frattini_generators(group)
-        seen = set()
-        for g in group.elements():
-            if g in seen:
-                continue
-            orbit = conjugacy_orbit(group, g, _gens=gens)
-            seen.update(orbit)
-            rep = min(orbit, key=group.lexkey)
-            classes.append(ConjugacyClass(rep, len(orbit), group.order // len(orbit),
-                                          group.inv(rep) in orbit, group, tuple(orbit)))
+        classes = [ConjugacyClass(rep, size, group.order // size, h is not None, group)
+                   for rep, size, h, _c in _lifted_classes(group)]
     classes.sort(key=lambda c: group.lexkey(c.rep))
     return classes
+
+
+def _lifted_classes(group, deep: bool = False) -> List[tuple]:
+    """(rep, size, h, C) per class of a generic group, h^-1 rep h = rep^-1
+    or h None, by the central step (Felsch and Neubueser, EUROSAM '79;
+    Mecky and Neubueser, Bull. Austral. Math. Soc. 40, 1989).  K, the
+    `central_tail` cut below its last powered generator, is elementary; the
+    classes of Q = G/K (relations masked to s bits) come from the fast walk,
+    or from here with `deep`.  For a class of Q with rep g (tail 0) and C
+    an induced sequence of C_Q(g), c -> [g, c] = g^c ^ g maps P = C K onto
+    V <= K.  Above g lie the classes g k V of size |g^Q| |V|, with reps
+    g | t, t on the bits of K off the pivots of V.  With y over a witness,
+    u = g^y g is in K and (g k)^(y c) = [g, c] g^-1 u k: g k is real iff u
+    is in V, witness y c.  With `deep`, C is ker(P -> K) plus K; otherwise
+    None, and the sift stops once V = K."""
+    n, s = group.n, central_tail(group)
+    s = max([s] + [i + 1 for i in range(s, n) if group.powers[i]])
+    m, tail = (1 << s) - 1, [1 << i for i in range(s, n)]
+    top = PcGroup(f"{group.name}/K", s, [p & m for p in group.powers[:s]],
+                  [[c & m for c in row[:s]] for row in group.comms[:s]])
+    if top.is_fast:
+        above = [(c.rep, c.size, _inverse_conjugator_fast(top, c.rep) if c.is_real else None,
+                  gf2_rref(gf2_kernel(transpose_masks(top.comm_images(c.rep)), s)))
+                 for c in conjugacy_classes(top)]
+    else:
+        above = _lifted_classes(top, deep=True)
+    out = []
+    for g, size, y, cents in above:
+        pivots: Dict[int, Tuple[int, int]] = {}
+        kernel = _sift_kernel(group, group, pivots, ((c, group.conj(g, c) ^ g) for c in cents[::-1]
+                                                     if deep or len(pivots) < n - s))
+        size, free = size << len(pivots), [k for k in tail if k not in pivots]
+        if y is not None:  # u sifts to 1 with preimage y c, or joins the pivots
+            y = (_sift_kernel(group, group, pivots, [(y, group.mult(group.conj(g, y), g))])
+                 or [None])[0]
+        cent = kernel[::-1] + tail if deep else None
+        out += [(g | t, size, y, cent) for t in span_elements(free)]
+    return out
+
+
+def _sift_kernel(source, target, pivots: Dict[int, Tuple[int, int]], pairs) -> List[int]:
+    """The kernel-image sift of a homomorphism on a subgroup, fed (x, image)
+    for x up its induced sequence from the last member: the image sifts
+    through `pivots`, {leading bit: (image, preimage)}, as x takes on the
+    preimages used and keeps its leading bit; at residue 1, x joins the
+    kernel (returned from the last member), else the residue joins the
+    pivots, since each step grows the subgroup and its image by index <= 2."""
+    kernel: List[int] = []
+    for x, y in pairs:
+        for low in sorted(pivots):
+            if y & low:
+                z, w = pivots[low]
+                y, x = target.mult(y, z), source.mult(x, w)
+        if y:
+            pivots[y & -y] = y, x
+        else:
+            kernel.append(x)
+    return kernel
 
 
 def wedge_pairs(group) -> Iterator[Tuple[int, List[int]]]:
@@ -915,9 +965,11 @@ class GroupHom:
         return img.order == self.target.order
 
     def kernel(self) -> Subgroup:
-        """One walk over the source: callers bound |source| first."""
-        one = self.target.identity
-        return subgroup(self.source, [g for g in self.source.elements() if self.apply(g) == one])
+        """The kernel as an induced sequence, by `_sift_kernel` over the pc
+        generators."""
+        pairs = zip(self.source.generators[::-1], self.images[::-1])
+        seq = _sift_kernel(self.source, self.target, {}, pairs)
+        return Subgroup(self.source, seq, seq)
 
 
 def homomorphism(source: PcGroup, target, images: Sequence[int]) -> GroupHom:
@@ -1197,10 +1249,7 @@ def tails_rows(group: PcGroup) -> List[List[int]]:
     bias = sum(sign << (TAIL_BITS * r) for r in range(m))  # each field + 2^63
     rows = []
     for k in range(n):
-        triples = [(k, k, k)]
-        for j in range(k):
-            triples += [(k, k, j), (k, j, j)] + [(k, j, i) for i in range(j)]
-        for a, b, c in triples:
+        for a, b, c in _overlaps(k):
             a, b, c = 1 << a, 1 << b, 1 << c
             diff = mult(mult(a, b), c) - mult(a, mult(b, c))
             if diff & ext._low:

@@ -166,6 +166,14 @@ def listing_walk(group):
     return classes
 
 
+def kernel_walk(hom):
+    """The kernel of a `GroupHom`, closed from every source element that
+    maps to 1: the walk that `GroupHom.kernel`'s sift replaced, kept as its
+    oracle."""
+    one = hom.target.identity
+    return subgroup(hom.source, [g for g in hom.source.elements() if hom(g) == one])
+
+
 def span_inverse_conjugator(group, g):
     """h with h^-1 g h = g^-1 on the fast path, or None: g^2 solved in the
     `Gf2Span` of the [g, x_i], the combination multiplied out in ascending

@@ -16,9 +16,11 @@ from twogroups import cli
 from twogroups.catalog import serialize_catalog
 from twogroups.cli import main
 from twogroups.f2poly import PolyError
+from twogroups.homology import cover_presentation
 from twogroups.lhs import LhsError
 from twogroups.ooze import OozeError
-from twogroups.pcgroup import ELEMENT_WALK_BOUND, PcError, PcGroup, ScaleError, abelianization
+from twogroups.pcgroup import (ELEMENT_WALK_BOUND, PcError, PcGroup, ScaleError, abelianization,
+                               central_tail)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -301,6 +303,28 @@ def test_search_ext_answers_at_2_20_at_once(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["value"] == {"count": 0, "entries": []}
+
+
+def test_info_lifts_the_classes_of_a_2_16_cover_at_once(tmp_path):
+    # the Schur cover of R(5,4) seed 6: 2^16 on the generic collector, with
+    # a top of 9 generators above its central tail, so no product tables;
+    # the class walk lifts the classes of the top quotient instead of one
+    # orbit walk per class (about 6 s in-process); a child process, so that
+    # a walk that does start fails here by the timeout instead of stalling
+    g = cover_presentation(rkm(5, 4, 6)).cover
+    assert g.order == 1 << 16 and not g.is_fast and central_tail(g) == 9
+    path = tmp_path / "cover_r5_4.cat"
+    path.write_text(serialize_catalog([g]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twogroups.cli", "info", g.name, "--catalog", str(path), "--json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    value = json.loads(proc.stdout)["value"]
+    assert value["order"] == g.order
+    assert sum(value["fingerprint"]["class_sizes"]) == g.order
 
 
 def test_h1whp_and_lambda4_walk_cosets_at_2_20(tmp_path):

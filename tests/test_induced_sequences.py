@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import RKM_LARGER, GenericView, element_closure, least_in_coset, rkm
+from conftest import RKM_LARGER, GenericView, element_closure, kernel_walk, least_in_coset, rkm
 from twogroups.catalog import parse_catalog
 from twogroups.pcgroup import (
     central_quotient,
@@ -133,3 +133,38 @@ def test_homomorphism_image_and_kernel_match_the_element_oracles(cat, small_fami
         ker = hom.kernel()
         assert ker.elements == kernel and ker.order * len(image) == s.order, s.name
         _assert_induced(ker)
+
+
+def test_kernel_sift_matches_the_kernel_walk(cat, small_family):
+    # GroupHom.kernel sifts the images of the pc generators from the last
+    # one up; the walk closes every element that maps to 1.  On the central
+    # quotients of small_family, their composites with a second central
+    # quotient, the trivial maps and the compat map SG256_8129 -> SG128_1376
+    # the two agree in order and membership, and an order-2 kernel keeps
+    # its one generator, the sigma of central_extension_from_hom
+    homs = []
+    for g in small_family:
+        center = standard_subgroups(g).center
+        for t in [t for t in sorted(center.elements) if t and not g.square(t)][:3]:
+            p = central_quotient(g, t)
+            homs.append(p)
+            q = p.target
+            u = next((u for u in sorted(standard_subgroups(q).center.elements)
+                      if u and not q.square(u)), None)
+            if u is not None:
+                pq = central_quotient(q, u)
+                homs.append(homomorphism(g, pq.target, [pq(p(x)) for x in g.generators]))
+        homs.append(homomorphism(g, g, [0] * g.n))
+    cover, base = cat["SG256_8129"], cat["SG128_1376"]
+    compat = homomorphism(cover, base, [base.generators[i] for i in [0, 1, 2, 3, 4, 5, 6, 4]])
+    homs.append(compat)
+    assert len(homs) > 4 * len(small_family)
+    assert {hom.kernel().order for hom in homs} >= {2, 4, 8}
+    for hom in homs:
+        ker, oracle = hom.kernel(), kernel_walk(hom)
+        assert ker.order == oracle.order, hom.source.name
+        assert all((x in ker) == (x in oracle.elements) for x in hom.source.elements())
+        _assert_induced(ker)
+        if ker.order == 2:
+            assert ker.seq == oracle.seq, hom.source.name
+    assert compat.kernel().seq == (cover.element_from_indices([5, 8]),)

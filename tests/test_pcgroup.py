@@ -59,6 +59,28 @@ def test_collect_rejects_bad_index(cat):
         cat["C4"].collect([(3, 1)])
 
 
+def test_collect_matches_per_letter_powers(cat):
+    # collect reads each x_i^e from a memo on the group; the oracle collects
+    # the same word letter by letter through power, on fast and generic
+    # groups, and an index out of range still raises once the memo is warm
+    rng = random.Random(RNG_SEED + 1)
+    covers = parse_catalog(COVERS_CAT.read_text())
+    groups = [cat[name] for name in ["C8", "Q8", "SG128_1376", "G16384"]]
+    groups += [GenericView(cat["SG256_8177"])] + covers
+    assert {g.is_fast for g in groups} == {True, False}
+    for g in groups:
+        for _ in range(200):
+            word = [(rng.randrange(1, g.n + 1), rng.choice([-3, -2, -1, 1, 2, 3]))
+                    for _ in range(rng.randrange(0, 9))]
+            expect = 0
+            for gen, exp in word:
+                expect = g.mult(expect, g.power(1 << (gen - 1), exp))
+            assert g.collect(word) == expect, (g.name, word)
+        for bad in [0, g.n + 1, -1]:
+            with pytest.raises(PcError, match="out of range"):
+                g.collect([(1, 1), (bad, 1)])
+
+
 def test_element_wrapper(cat):
     from twogroups.pcgroup import Element
 

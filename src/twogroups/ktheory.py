@@ -26,6 +26,7 @@ from .pcgroup import (
     ScaleError,
     Subgroup,
     _inverse_conjugator_fast,
+    _quotient,
     abelianization,
     center_transversal,
     central_lift,
@@ -78,7 +79,7 @@ def h1_wh_prime(group) -> WhPrimeData:
     C/[G,G] is the span in S/[G,G] (`Abelianization.omega_bits`) of the
     elements with a witness.  A class lies in one [G,G]-coset, so C's
     generators over [G,G] are the first members, ascending, of the cosets
-    (fast path) or classes that have a witness and a new omega_bits, until
+    (fast path) or reps of real classes with a new omega_bits, until
     the span is all of S/[G,G].
 
     Fast path: [G,G] is central of exponent 2, so (gc)^2 = g^2 and
@@ -86,10 +87,11 @@ def h1_wh_prime(group) -> WhPrimeData:
     The cosets are the subset products of the omega_j = (factor generator
     j)^(d_j/2), keyed by their least members, a `linear_map` of g
     (`least_images`), and visited ascending, as an ascending walk of S
-    first meets them.  Generic path: one `conjugacy_orbit` per class from
-    its least member r, under the Frattini generators: if a_y^-1 r a_y = y,
-    h = a_y^-1 a_{y^-1} conjugates y to y^-1.  `witnesses` walks S on first
-    read, solving the cosets or walking the classes not yet reached.
+    first meets them.  Generic path: the classes are `conjugacy_classes`
+    records, in order; (g k)^h = g^-1 k = (g k)^-1 for g^h = g^-1 and k
+    in K, the central elementary tail of `pcgroup._quotient`, so one
+    `conjugate_to_inverse_witness` serves a K-coset.  `witnesses` walks S
+    on first read, solving the cosets not yet reached.
     """
     check_element_walk(group, "h1_wh_prime")
     ab = abelianization(group)
@@ -110,22 +112,17 @@ def h1_wh_prime(group) -> WhPrimeData:
             reps += [group.mult(r, w) for r in reps]
         firsts = sorted(zip(map(least, reps), range(len(reps))))
     else:
-        gens = frattini_generators(group)
-        orbit_of: Dict[int, Dict[int, int]] = {}
+        mask, solved = _quotient(group)[0].order - 1, {}  # solved[g & mask]: h for g K
 
         def witness(g: int) -> Optional[int]:
             if g in ab.derived.elements:
                 return None
-            if g not in orbit_of:
-                orbit = conjugacy_orbit(group, g, _gens=gens)
-                orbit_of.update(dict.fromkeys(orbit, orbit))
-            orbit = orbit_of[g]
-            to_inv = orbit.get(group.inv(g))
-            return None if to_inv is None else group.mult(group.inv(orbit[g]), to_inv)
+            key = g & mask
+            if key not in solved:
+                solved[key] = conjugate_to_inverse_witness(group, key)
+            return solved[key]
 
-        # the first member of each class with a witness; its walk marks the rest
-        firsts = ((g, ab.omega_bits(g)) for g in ab.s_elements()
-                  if g not in orbit_of and witness(g) is not None)
+        firsts = ((c.rep, ab.omega_bits(c.rep)) for c in conjugacy_classes(group) if c.is_real)
     span, basis = Gf2Span(), []  # C/[G,G] in omega_bits, and C's generators over [G,G]
     for g, v in firsts:
         if len(span) == len(omega):
@@ -143,16 +140,14 @@ def h1_wh_prime(group) -> WhPrimeData:
     return WhPrimeData(group, s_sub, c_sub, rank, pairs)
 
 
-# sk1 multiplies each pair of `wedge_pairs` both ways in the cover: on the
-# fast path at most n per center coset and n per basis element of Z(G); on
-# the generic path at most c d(G) Schreier generators for each class of
-# size c outside Z(G), the classes disjoint, and n per generator of Z(G),
-# so (|G| - |Z|) d(G) + n log2 |Z| <= |G| n.  That bounds the pair count
-# before anything is built.  On one 2-vCPU core: G16384 (2^14 x 14 =
-# 229,376 allowed, 850 actual pairs, a 42-generator cover) 0.41-0.46 s at a
-# 27 MB peak through the CLI; the class-3 cover of SG256_8129 (2^14,
-# generic collector, 9,328 pairs) 0.6-1.5 s at a 38 MB peak in-process,
-# its own cover presentation included.
+# sk1 multiplies each pair of `wedge_pairs` both ways in the cover: at most
+# n per coset of the center (fast path) or class of G/K (generic path) and
+# n per generator of Z(G), so at most |G| n, which bounds the pair count
+# before anything is built.  On one 2-vCPU core: G16384 (229,376 allowed,
+# 850 actual pairs, a 42-generator cover) 0.41-0.46 s at a 27 MB peak
+# through the CLI; the class-3 cover of SG256_8129 (2^14, generic
+# collector, 703 pairs) 0.07-0.09 s at a 20 MB peak in-process, its own
+# cover presentation included.
 SK1_PAIR_BOUND = 1 << 18
 
 
@@ -288,9 +283,9 @@ def commutator_values(group, transversal: Sequence[int]) -> Dict[int, int]:
     over the transversal in both arguments, since [gz, h] = [g, hz] = [g, h]
     for central z.  One pass, until the keys fill [G,G].  Fast path: [g, G]
     is the span of `comm_images`(g).  Generic path: g^-1 y over the
-    `conjugacy_orbit` of g, skipping g if an earlier walk listed its class,
-    as `wedge_pairs` does; [g^a, G] = [g, G]^a has the same central values,
-    so the pass is at most one class walk.  Non-central keys may be missing
+    `conjugacy_orbit` of g, skipping g if an earlier walk listed its class:
+    [g^a, G] = [g, G]^a has the same central values, so the pass is at
+    most one class walk.  Non-central keys may be missing
     or map to a later g."""
     check_element_walk(group, "commutator_values")
     size, first, walked = derived_subgroup(group).order, {}, set()

@@ -27,6 +27,7 @@ from .pcgroup import (
     PcGroup,
     abelianization,
     conjugacy_classes,
+    frattini_generators,
 )
 from .ktheory import (
     CentralExtensionData,
@@ -629,10 +630,12 @@ def conjecture62_scan(group) -> List[ConjectureSequence]:
         )
     # pi^ab coordinates -> [classes, inversion-closed classes, elements]
     buckets: Dict[Tuple[int, ...], List[int]] = {}
-    # r^G lies in r[G,G] when every [r, x_i] does, as [r, gh] = [r, h][r, g]^h
+    # r^G lies in r[G,G] when every [r, x] does, x over a generating set,
+    # as [r, gh] = [r, h][r, g]^h
     off_derived = lru_cache(maxsize=None)(lambda c: any(ab.coordinates(c)))
+    gens = frattini_generators(group)
     for cls in conjugacy_classes(group):
-        if any(map(off_derived, group.comm_images(cls.rep))):
+        if any(off_derived(group.comm(cls.rep, x)) for x in gens):
             raise OozeError("a conjugacy class meets two [G,G]-cosets")
         image = ab.coordinates(cls.rep)
         bucket = buckets.setdefault(image, [0, 0, 0])

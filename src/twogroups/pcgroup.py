@@ -139,6 +139,7 @@ class PcGroup:
         self._conj_top: Optional[array] = None
         self._comm_map: Optional[Callable[[int], int]] = None
         self._comm_rows: Optional[tuple] = None  # (relation bits, map to the rows of M_g)
+        self._quotient: Optional[tuple] = None  # (G/K, K's generators) of `_quotient`
         if self._fast:
             self._tabulate()
         else:
@@ -689,42 +690,67 @@ def conjugacy_classes(group) -> List[ConjugacyClass]:
     return classes
 
 
+def _quotient(group) -> Tuple[PcGroup, List[int]]:
+    """(Q = G/K, K's generators), K the `central_tail` cut below its last
+    powered generator, so central and elementary; Q keeps the s generators
+    above K, relations masked to s bits.  Built once per group."""
+    if group._quotient is None:
+        n, s = group.n, central_tail(group)
+        s = max([s] + [i + 1 for i in range(s, n) if group.powers[i]])
+        m = (1 << s) - 1
+        top = PcGroup(f"{group.name}/K", s, [p & m for p in group.powers[:s]],
+                      [[c & m for c in row[:s]] for row in group.comms[:s]])
+        group._quotient = top, [1 << i for i in range(s, n)]
+    return group._quotient
+
+
 def _lifted_classes(group, deep: bool = False) -> List[tuple]:
     """(rep, size, h, C) per class of a generic group, h^-1 rep h = rep^-1
-    or h None, by the central step (Felsch and Neubueser, EUROSAM '79;
-    Mecky and Neubueser, Bull. Austral. Math. Soc. 40, 1989).  K, the
-    `central_tail` cut below its last powered generator, is elementary; the
-    classes of Q = G/K (relations masked to s bits) come from the fast walk,
-    or from here with `deep`.  For a class of Q with rep g (tail 0) and C
-    an induced sequence of C_Q(g), c -> [g, c] = g^c ^ g maps P = C K onto
-    V <= K.  Above g lie the classes g k V of size |g^Q| |V|, with reps
-    g | t, t on the bits of K off the pivots of V.  With y over a witness,
-    u = g^y g is in K and (g k)^(y c) = [g, c] g^-1 u k: g k is real iff u
-    is in V, witness y c.  With `deep`, C is ker(P -> K) plus K; otherwise
-    None, and the sift stops once V = K."""
-    n, s = group.n, central_tail(group)
-    s = max([s] + [i + 1 for i in range(s, n) if group.powers[i]])
-    m, tail = (1 << s) - 1, [1 << i for i in range(s, n)]
-    top = PcGroup(f"{group.name}/K", s, [p & m for p in group.powers[:s]],
-                  [[c & m for c in row[:s]] for row in group.comms[:s]])
-    if top.is_fast:
-        above = [(c.rep, c.size, _inverse_conjugator_fast(top, c.rep) if c.is_real else None,
-                  gf2_rref(gf2_kernel(transpose_masks(top.comm_images(c.rep)), s)))
-                 for c in conjugacy_classes(top)]
-    else:
-        above = _lifted_classes(top, deep=True)
+    or h None, by `_central_step` at each class of Q = G/K (`_quotient`),
+    from the fast walk or from here with `deep`.  Above the class of g lie
+    the classes g k V of size |g^Q| |V|, with reps g | t, t on the bits of
+    K off the pivots of V, and g's witness and centralizer."""
+    top, tail = _quotient(group)
+    above = ([(c.rep, c.size, *_element_lift(top, c.rep)) for c in conjugacy_classes(top)]
+             if top.is_fast else _lifted_classes(top, deep=True))
     out = []
     for g, size, y, cents in above:
-        pivots: Dict[int, Tuple[int, int]] = {}
-        kernel = _sift_kernel(group, group, pivots, ((c, group.conj(g, c) ^ g) for c in cents[::-1]
-                                                     if deep or len(pivots) < n - s))
-        size, free = size << len(pivots), [k for k in tail if k not in pivots]
-        if y is not None:  # u sifts to 1 with preimage y c, or joins the pivots
-            y = (_sift_kernel(group, group, pivots, [(y, group.mult(group.conj(g, y), g))])
-                 or [None])[0]
-        cent = kernel[::-1] + tail if deep else None
-        out += [(g | t, size, y, cent) for t in span_elements(free)]
+        free, y, cent = _central_step(group, g, y, cents, deep)
+        out += [(g | t, size << (len(tail) - len(free)), y, cent) for t in span_elements(free)]
     return out
+
+
+def _central_step(group, g: int, y: Optional[int], cents: List[int], deep: bool) -> tuple:
+    """The central step (Felsch and Neubueser, EUROSAM '79; Mecky and
+    Neubueser, Bull. Austral. Math. Soc. 40, 1989) from Q = G/K to G at g
+    (tail 0), from y with g^y = g^-1 in Q or None and an induced sequence C
+    of C_Q(g): c -> [g, c] = g^c ^ g maps P = C K onto V <= K; u = g^y g
+    is in K and g^(y c) = [g, c] g^-1 u, so g is real iff u is in V, with
+    witness y c.  Returns (K's generators off the pivots of V, the witness
+    or None, and with `deep` C_G(g) = ker(P -> K) K as an induced
+    sequence, else None, the sift stopping once V = K)."""
+    tail = _quotient(group)[1]
+    pivots: Dict[int, Tuple[int, int]] = {}
+    kernel = _sift_kernel(group, group, pivots, ((c, group.conj(g, c) ^ g) for c in cents[::-1]
+                                                 if deep or len(pivots) < len(tail)))
+    free = [k for k in tail if k not in pivots]
+    if y is not None:  # u sifts to 1 with preimage y c, or joins the pivots
+        y = (_sift_kernel(group, group, pivots, [(y, group.mult(group.conj(g, y), g))])
+             or [None])[0]
+    return free, y, kernel[::-1] + tail if deep else None
+
+
+def _element_lift(group, g: int, deep: bool = True) -> Tuple[Optional[int], Optional[List[int]]]:
+    """(h with g^h = g^-1 or None, an induced sequence of C_G(g), None on a
+    generic group without `deep`): the packed solve and the `gf2_kernel`
+    basis of h -> [g, h] on the fast path, else `_central_step` at g's
+    tail-0 image, which has g's witness and centralizer as K is central."""
+    if group.is_fast:
+        return (_inverse_conjugator_fast(group, g),
+                gf2_rref(gf2_kernel(transpose_masks(group.comm_images(g)), group.n)))
+    top = _quotient(group)[0]
+    g &= top.order - 1
+    return _central_step(group, g, *_element_lift(top, g), deep)[1:]
 
 
 def _sift_kernel(source, target, pivots: Dict[int, Tuple[int, int]], pairs) -> List[int]:
@@ -751,69 +777,51 @@ def wedge_pairs(group) -> Iterator[Tuple[int, List[int]]]:
     """(g, hs) whose commuting pairs (g, h), h in hs, have wedges that
     generate those of all commuting pairs: w(g, h) = [g~, h~] in a central
     extension (`ktheory.sk1`), or [g] ^ [h] in Lambda^2 G^ab.  The pairs are
-    (t, generators of C_G(t)) for t != 1 in `center_transversal`, skipping a
-    t whose class an earlier t's walk listed, then (z, the pc generators)
-    for z in a generating set of Z(G).
+    (t, generators of C_G(t)) for non-central t, some t Z(G) meeting each
+    class, then (z, the pc generators) for z generating Z(G).
 
     w is additive in each argument on commuting pairs ([ab, h] =
-    [a, h]^b [b, h], [a~, h~] central); every g is t z with z central, so
+    [a, h]^b [b, h], [a~, h~] central); for g = t z with z central,
     C_G(g) = C_G(t), w(g, h) = w(t, h) + w(z, h), and w(z, h) is additive in
-    z on Z(G) and in h on all of G = C_G(z).  Also w(t^a, h^a) = w(t, h),
-    so a t conjugate to one already taken adds nothing.  Only the
-    generators of C_G(t) depend on the collector:
+    z on Z(G) and in h on all of G = C_G(z); and w(t^a, h^a) = w(t, h).
 
-    Fast path: the `gf2_kernel` basis of h -> [t, h], whose kernel is
-    C_G(t).  It also generates C_G(t) as a group: let S be the bits that
-    occur in relation values.  Each x_j, j in S, carries no relation of its
-    own, so it is central, column j of the map is zero and the basis holds
-    the unit vector e_j.  For h in the kernel written as the XOR
-    b_1 ^ ... ^ b_k of basis vectors, the product p = b_1 ... b_k differs
-    from h by an XOR z of F values, all of whose bits lie in S; F(z, .) = 0,
-    so p z = p ^ z = h, and z is a product of the e_j in the basis.  Every
-    class lies in one coset of Z(G) here, so no t is skipped.
+    Fast path: t != 1 in `center_transversal`, and the `gf2_kernel` basis
+    of h -> [t, h], whose kernel is C_G(t).  It also generates C_G(t) as a
+    group: let S be the bits that occur in relation values.  Each x_j, j in
+    S, carries no relation of its own, so it is central, column j of the
+    map is zero and the basis holds the unit vector e_j.  For h in the
+    kernel written as the XOR b_1 ^ ... ^ b_k of basis vectors, the product
+    p = b_1 ... b_k differs from h by an XOR z of F values, all of whose
+    bits lie in S; F(z, .) = 0, so p z = p ^ z = h, and z is a product of
+    the e_j in the basis.
 
-    Generic path: the walk `conjugacy_orbit` of t records its steps
-    (y, x, y^x), and the distinct non-identity Schreier generators
-    a_y x a_{y^x}^-1 generate C_G(t) (Schreier's lemma needs only some
-    generating set of G: Holt, Eick and O'Brien, Handbook of CGT, 4.1).
-    The walked classes are disjoint and miss Z(G), and a class of size c
-    gives at most c d(G) generators, so there are at most
-    (|G| - |Z(G)|) d(G) + n log2 |Z(G)| pairs in all."""
+    Generic path: t runs over the reps (tail 0) of the classes of Q = G/K
+    (`_quotient`) not central in G, each with the `deep` centralizer of
+    `_lifted_classes`, since K lies in Z(G); Z(G) is the classes of size
+    1.  At most n pairs per class of Q and per generator of Z(G)."""
     check_element_walk(group, "wedge_pairs")
     if group.is_fast:
         for t in center_transversal(group)[1:]:
             yield t, gf2_kernel(transpose_masks(group.comm_images(t)), group.n)
         center = center_span(group).basis()
     else:
-        gens = frattini_generators(group)
-        walked = set()
-        for t in center_transversal(group)[1:]:
-            if t in walked:
-                continue
-            steps = []
-            orbit = conjugacy_orbit(group, t, _steps=steps, _gens=gens)
-            walked.update(orbit)
-            a_inv = {y: group.inv(a) for y, a in orbit.items()}
-            schreier = dict.fromkeys(
-                group.mult(group.mult(orbit[y], x), a_inv[z]) for y, x, z in steps
-            )
-            schreier.pop(group.identity, None)
-            yield t, list(schreier)
-        center = subgroup(group, _center(group)).gens
+        s, center = _quotient(group)[0].n, []
+        for rep, size, _h, cent in _lifted_classes(group, deep=True):
+            if size == 1:
+                center.append(rep)
+            elif not rep >> s:
+                yield rep, cent
+        center = subgroup(group, sorted(center)).gens
     for z in center:
         yield z, group.generators
 
 
-def conjugacy_orbit(
-    group, g: int, *, _steps: Optional[list] = None, _gens: Optional[List[int]] = None
-) -> Dict[int, int]:
+def conjugacy_orbit(group, g: int, *, _gens: Optional[List[int]] = None) -> Dict[int, int]:
     """The class of g as {y: t} with t^-1 g t = y: a breadth-first orbit walk
     under conjugation by the d(G) elements of `frattini_generators`, which
     generate G, so the orbit is the whole class; it records one transporter
-    per element (Holt, Eick and O'Brien, Handbook of CGT, 4.1).
-    `wedge_pairs` passes a list as `_steps` to receive every step
-    (y, x, y^x); a walk over many classes passes the generators once as
-    `_gens`."""
+    per element (Holt, Eick and O'Brien, Handbook of CGT, 4.1).  A walk
+    over many classes passes the generators once as `_gens`."""
     gens = frattini_generators(group) if _gens is None else _gens
     orbit = {g: group.identity}
     frontier = [g]
@@ -822,8 +830,6 @@ def conjugacy_orbit(
         for h in frontier:
             for x in gens:
                 y = group.conj(h, x)
-                if _steps is not None:
-                    _steps.append((h, x, y))
                 if y not in orbit:
                     orbit[y] = group.mult(orbit[h], x)
                     nxt.append(y)
@@ -862,10 +868,11 @@ def center_transversal(group) -> List[int]:
 
 
 def conjugate_to_inverse_witness(group, g: int) -> Optional[int]:
-    """Element h with h^-1 g h = g^-1, or None if g is not conjugate to g^-1."""
+    """Element h with h^-1 g h = g^-1, or None if g is not conjugate to
+    g^-1: the packed solve on the fast path, else `_element_lift`."""
     if group.is_fast:
         return _inverse_conjugator_fast(group, g)
-    return conjugacy_orbit(group, g).get(group.inv(g))
+    return _element_lift(group, g, deep=False)[0]
 
 
 def _inverse_conjugator_fast(group: PcGroup, g: int) -> Optional[int]:
@@ -899,19 +906,12 @@ class StandardSubgroups:
     center_cap_derived: Subgroup
 
 
-def _center(group) -> List[int]:
-    """Elements that generate Z(G): on the fast path the kernel basis of
-    `center_span`, otherwise every element, ascending, that conjugation by
-    each of `frattini_generators` fixes."""
-    if group.is_fast:
-        return center_span(group).basis()
-    gens = frattini_generators(group)
-    return [g for g in group.elements() if all(group.conj(g, x) == g for x in gens)]
-
-
 def standard_subgroups(group) -> StandardSubgroups:
-    """Center (`_center`), derived subgroup, and their intersection."""
-    center = subgroup(group, _center(group))
+    """Center, derived subgroup, and their intersection.  Z(G) is generated
+    by the kernel basis of `center_span` on the fast path, else it is the
+    reps of the classes of size 1, closed in ascending order."""
+    center = subgroup(group, center_span(group).basis() if group.is_fast else
+                      sorted(r for r, size, *_ in _lifted_classes(group) if size == 1))
     derived = derived_subgroup(group)
     cap = subgroup(group, [z for z in center.elements if z in derived])
     return StandardSubgroups(center, derived, cap)

@@ -55,8 +55,10 @@ def rkm(k, m, seed):
 class GenericView:
     """A PcGroup behind an object that is not a PcGroup: every operation is
     the group's own, but it declares `is_fast` false, so conjugacy_classes,
-    h1_wh_prime and wedge_pairs take their generic orbit walks on it, an
-    oracle independent of the fast path."""
+    h1_wh_prime, wedge_pairs and the witnesses take their generic branches
+    on it: the central step from the quotient by the central tail, whose
+    own classes come from the fast walk, and `ConjugacyClass.elements`
+    lists orbits."""
 
     is_fast = False
 
@@ -67,29 +69,46 @@ class GenericView:
         return getattr(self._group, name)
 
 
+def schreier_walk(group, g, gens):
+    """(orbit, Schreier generators) of the class of g: the breadth-first
+    walk of `conjugacy_orbit` under gens, {y: a_y} with a_y^-1 g a_y = y,
+    recording each step (y, x, y^x); the distinct non-identity
+    a_y x a_{y^x}^-1 generate C_G(g) (Schreier's lemma needs only some
+    generating set of G: Holt, Eick and O'Brien, Handbook of CGT, 4.1).
+    The walk that `wedge_pairs` took before it read the centralizers off
+    the class lift."""
+    orbit, frontier, steps = {g: group.identity}, [g], []
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for x in gens:
+                z = group.conj(y, x)
+                steps.append((y, x, z))
+                if z not in orbit:
+                    orbit[z] = group.mult(orbit[y], x)
+                    nxt.append(z)
+        frontier = nxt
+    a_inv = {y: group.inv(a) for y, a in orbit.items()}
+    schreier = dict.fromkeys(group.mult(group.mult(orbit[y], x), a_inv[z]) for y, x, z in steps)
+    schreier.pop(group.identity, None)
+    return orbit, list(schreier)
+
+
 def class_centralizers(group):
     """One (g, gens) per conjugacy class, in element order of its first
     member g, with <gens> = C_G(g) and no identity or repeat in gens: the
-    Schreier generators t_y x t_{y^x}^-1 of the orbit walk of g under the
-    Frattini generators.  One walk per class, where `wedge_pairs` walks only
-    the classes of centre-transversal elements: kept as its oracle, the same
-    orbit walk on every group, fast or not."""
+    Schreier generators of the `schreier_walk` of g under the Frattini
+    generators.  The oracle of `wedge_pairs`, the same orbit walk on every
+    group, fast or not."""
     check_element_walk(group, "class_centralizers")
     frattini = frattini_generators(group)
     seen = set()
     for g in group.elements():
         if g in seen:
             continue
-        steps = []
-        orbit = conjugacy_orbit(group, g, _steps=steps, _gens=frattini)
+        orbit, schreier = schreier_walk(group, g, frattini)
         seen.update(orbit)
-        t_inv = {y: group.inv(t) for y, t in orbit.items()}
-        schreier = {}
-        for y, x, z in steps:
-            s = group.mult(group.mult(orbit[y], x), t_inv[z])
-            if s != group.identity:
-                schreier[s] = None
-        yield g, list(schreier)
+        yield g, schreier
 
 
 def commutator_scan(group):

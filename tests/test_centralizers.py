@@ -3,8 +3,9 @@
 `commuting_wedges`, `commuting_wedge_span` and `sk1` read only the pairs
 (g, generator of C_G(g)) of `wedge_pairs`; the oracle is the |G|^2 walk
 `commuting_pairs` over every commuting pair.  On the class-2 fast path the
-generators are a kernel basis, on the generic path Schreier generators of
-the orbit walk; `GenericView` runs the generic walk on a fast group.  The
+generators are a kernel basis, on the generic path the centralizer
+sequences of the class lift; `GenericView` runs the generic walk on a
+fast group.  The
 oracle `class_centralizers` (conftest) gives one pair per class.
 """
 
@@ -29,6 +30,7 @@ from twogroups.pcgroup import (
     ScaleError,
     center_transversal,
     conjugacy_classes,
+    standard_subgroups,
     subgroup,
     wedge_pairs,
 )
@@ -51,10 +53,18 @@ def test_centralizer_generators_give_centralizer_orders(small_family):
                     c.rep for c in conjugacy_classes(g)
                 ), g.name
     for g in fast:
-        # both walks take every non-central transversal element, in order
+        # the fast walk takes every non-central transversal element, in
+        # order; the generic walk the rep of each class of G/K that is not
+        # central in G, in the order of G/K's classes
         k = len(center_transversal(g)) - 1
-        generic = [rep for rep, _gens in wedge_pairs(GenericView(g))][:k]
-        assert [rep for rep, _gens in wedge_pairs(g)][:k] == generic, g.name
+        assert [rep for rep, _gens in wedge_pairs(g)][:k] == center_transversal(g)[1:], g.name
+        view = GenericView(g)
+        reps = [c.rep for c in conjugacy_classes(pcgroup._quotient(view)[0])
+                if any(g.comm(c.rep, x) for x in g.generators)]
+        generic = [rep for rep, _gens in wedge_pairs(view)]
+        assert generic[:len(reps)] == reps, g.name
+        center = standard_subgroups(g).center
+        assert all(rep in center for rep in generic[len(reps):]), g.name
 
 
 def test_fast_and_generic_walks_give_the_same_sk1_and_wedge_span(cat):

@@ -327,6 +327,24 @@ def test_info_lifts_the_classes_of_a_2_16_cover_at_once(tmp_path):
     assert sum(value["fingerprint"]["class_sizes"]) == g.order
 
 
+def test_h1whp_lifts_the_witnesses_of_a_2_16_cover(tmp_path):
+    # the same 2^16 cover: C/[G,G] from the real class records and one
+    # lifted witness per coset of the central tail, where one orbit walk
+    # per class took about 5 s in-process; a child process, so that a walk
+    # that does start fails here by the timeout instead of stalling
+    g = cover_presentation(rkm(5, 4, 6)).cover
+    path = tmp_path / "cover_r5_4.cat"
+    path.write_text(serialize_catalog([g]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in [str(SRC), os.environ.get("PYTHONPATH")] if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twogroups.cli", "h1whp", g.name, "--catalog", str(path), "--json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["value"]["rank"] == 3
+
+
 def test_h1whp_and_lambda4_walk_cosets_at_2_20(tmp_path):
     # R(16,4) seed 1604 at the element walk bound (|G| = 2^20, S = G): one
     # solve per [G,G]-coset, and as_dict lists only the 16 witnesses it

@@ -23,7 +23,8 @@ from twogroups.ktheory import central_extension_from_hom, h1_wh_prime
 from twogroups.lhs import LhsError, extension_class_rep, frattini_subgroup, lhs_data_for
 from twogroups.linalg import Gf2Span, gf2_kernel, transpose_masks
 from twogroups.ooze import OozeError, delta_map
-from twogroups.pcgroup import PcError, PcGroup, abelianization, homomorphism, subgroup
+from twogroups.pcgroup import (PcError, PcGroup, abelianization, conjugacy_classes, homomorphism,
+                               subgroup)
 
 COVERS_CAT = Path(__file__).parents[1] / "perfbench" / "covers.cat"
 
@@ -139,13 +140,19 @@ def test_lhs_w_coordinates_match_the_frattini_table(family):
 
 
 def test_c_generators_match_the_doubling_table(cat):
-    # C = [G,G] doubled by each witness not yet in it, in witness order
+    # C = [G,G] doubled by each witness not yet in it, in witness order on
+    # the fast path, in the order of the real class records on the generic
     groups = list(cat.values()) + parse_catalog(COVERS_CAT.read_text())
     groups += [schur_cover(cat[name]).cover for name in ["D8", "C2xC4", "SG128_1376"]]
     for g in groups:
         data = h1_wh_prime(g)
         der = abelianization(g).derived
-        basis = elementary_coordinates(g.mult, der.elements, (a for a, _ in data.witnesses))[0]
+        if g.is_fast:
+            candidates = (a for a, _ in data.witnesses)
+        else:
+            candidates = (c.rep for c in conjugacy_classes(g) if c.is_real)
+            assert all(g.conj(a, h) == g.inv(a) for a, h in data.witnesses), g.name
+        basis = elementary_coordinates(g.mult, der.elements, candidates)[0]
         want = subgroup(g, der.gens + tuple(basis))
         assert data.c_subgroup.gens == want.gens, g.name
         assert data.c_subgroup.seq == want.seq, g.name

@@ -10,9 +10,12 @@ walks on fast groups; the cyclic products carry Z/4 and Z/8 invariants, so
 the coordinate test c_j = 0 mod d_j/2 is not only a parity test there.
 """
 
+from pathlib import Path
+
 import pytest
 
 from conftest import RKM_LARGER, GenericView, cyclic_product, rkm
+from twogroups.catalog import parse_catalog
 from twogroups.homology import schur_cover
 from twogroups.ktheory import h1_wh_prime
 from twogroups.pcgroup import (
@@ -27,6 +30,7 @@ from twogroups.pcgroup import (
 )
 
 CYCLIC = [(3,), (2, 1), (3, 2, 1), (3, 3), (2, 2, 1, 1)]
+COVERS_CAT = Path(__file__).parents[1] / "perfbench" / "covers.cat"
 
 
 def orbit_under_all_generators(group, g):
@@ -100,11 +104,12 @@ def test_classes_match_the_walk_under_all_generators(walk_family):
 def test_schreier_generators_generate_the_centralizers(walk_family):
     for g in walk_family:
         sizes = {x: len(c.elements) for c in conjugacy_classes(g) for x in c.elements}
-        d = len(frattini_generators(g))
         for rep, gens in wedge_pairs(g):
-            # a central rep is paired with the pc generators
-            assert len(gens) <= sizes[rep] * d or gens == g.generators, g.name
-            assert subgroup(g, gens).order == g.order // sizes[rep], (g.name, rep)
+            # a central rep is paired with the pc generators, any other
+            # with an induced sequence of C_G(rep), one member per factor 2
+            centralizer_order = g.order // sizes[rep]
+            assert 1 << len(gens) == centralizer_order or gens == g.generators, g.name
+            assert subgroup(g, gens).order == centralizer_order, (g.name, rep)
 
 
 def test_s_matches_the_squaring_scan(walk_family):
@@ -126,4 +131,21 @@ def test_generic_witnesses_conjugate_to_the_inverse(walk_family):
             h = conjugate_to_inverse_witness(g, x)
             real = g.inv(x) in orbit_under_all_generators(g, x)
             assert (h is not None) == real, (g.name, x)
+            assert h is None or g.conj(x, h) == g.inv(x), (g.name, x)
+
+
+def test_lifted_witnesses_match_the_orbits_on_the_covers(cat):
+    # every element of the frozen class-3 covers and of the 2^14 cover of
+    # SG256_8129, whose witnesses are lifted through the central tail: one
+    # exactly when the class holds the inverse, and it inverts
+    covers = parse_catalog(COVERS_CAT.read_text()) + [schur_cover(cat["SG256_8129"]).cover]
+    assert len(covers) == 5 and not any(g.is_fast for g in covers)
+    for g in covers:
+        real = {}
+        for x in g.elements():
+            if x not in real:
+                orbit = orbit_under_all_generators(g, x)
+                real.update(dict.fromkeys(orbit, g.inv(x) in orbit))
+            h = conjugate_to_inverse_witness(g, x)
+            assert (h is not None) == real[x], (g.name, x)
             assert h is None or g.conj(x, h) == g.inv(x), (g.name, x)

@@ -8,7 +8,7 @@ class.  The oracles below are the replaced code, kept here: the per-coset
 walk that sorted every class by `lexkey`, one `Gf2Span.reduce` per
 element, and one `element_order` per element of G.  `GenericView` copies
 run the generic walks, which still sort; both must give the same classes
-in the same order.
+in the same order, and the generic wedge pairs the same centralizers.
 """
 
 from collections import Counter
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import RKM_LARGER, GenericView, rkm
+from twogroups import pcgroup
 from twogroups.catalog import fingerprint, parse_catalog
 from twogroups.ktheory import h1_wh_prime
 from twogroups.linalg import (Gf2Span, gf2_kernel, least_images, linear_map, span_elements,
@@ -26,8 +27,7 @@ from twogroups.pcgroup import (
     center_span,
     center_transversal,
     conjugacy_classes,
-    conjugacy_orbit,
-    frattini_generators,
+    subgroup,
     wedge_pairs,
 )
 
@@ -37,41 +37,25 @@ R86_SEED = 806
 
 
 def sorting_walk(group):
-    """(g, members sorted by lexkey, centralizer generators) per class, in
-    element order of g: the class walk before the ordered enumeration.
-    Fast path: g ^ the span of the [g, x_i] as `Gf2Span` stores it;
-    generic path: the orbit walk and its Schreier generators."""
+    """(g, members sorted by lexkey, centralizer generators) per class of a
+    class-2 group, in element order of g: the class walk before the
+    ordered enumeration, g ^ the span of the [g, x_i] as `Gf2Span` stores
+    it."""
     seen = set()
-    if group.is_fast:
-        center = center_span(group)
-        per_coset = {}
-        for g in group.elements():
-            if g in seen:
-                continue
-            key = center.reduce(g)
-            if key not in per_coset:
-                image = [group.comm(g, x) for x in group.generators]
-                gens = gf2_kernel(transpose_masks(image), group.n)
-                per_coset[key] = (span_elements(Gf2Span(image).basis()), gens)
-            span, gens = per_coset[key]
-            members = [g ^ c for c in span]
-            seen.update(members)
-            yield g, sorted(members, key=group.lexkey), gens
-        return
-    frattini = frattini_generators(group)
+    center = center_span(group)
+    per_coset = {}
     for g in group.elements():
         if g in seen:
             continue
-        steps = []
-        orbit = conjugacy_orbit(group, g, _steps=steps, _gens=frattini)
-        seen.update(orbit)
-        t_inv = {y: group.inv(t) for y, t in orbit.items()}
-        schreier = {}
-        for y, x, z in steps:
-            s = group.mult(group.mult(orbit[y], x), t_inv[z])
-            if s != group.identity:
-                schreier[s] = None
-        yield g, sorted(orbit, key=group.lexkey), list(schreier)
+        key = center.reduce(g)
+        if key not in per_coset:
+            image = [group.comm(g, x) for x in group.generators]
+            gens = gf2_kernel(transpose_masks(image), group.n)
+            per_coset[key] = (span_elements(Gf2Span(image).basis()), gens)
+        span, gens = per_coset[key]
+        members = [g ^ c for c in span]
+        seen.update(members)
+        yield g, sorted(members, key=group.lexkey), gens
 
 
 def fingerprint_by_elements(group):
@@ -110,14 +94,28 @@ def test_classes_come_in_lexkey_order_from_the_least_member(fast_groups):
 
 def test_wedge_pairs_take_the_class_walk_centralizers(fast_groups):
     # on a class-2 group each transversal element is the first member of
-    # its class, so both collectors pair it with the generators that the
-    # class walk gave its class, in the transversal's order
+    # its class, so the fast path pairs it with the generators that the
+    # class walk gave its class, in the transversal's order; a generic copy
+    # pairs the rep of each class of G/K that is not central in G, in the
+    # order of those classes, with an induced sequence of the centralizer
+    # that the class walk generates
     for g in fast_groups:
         transversal = center_transversal(g)[1:]
-        for group in (g, GenericView(g)):
-            walk = {rep: gens for rep, _members, gens in sorting_walk(group)}
-            pairs = list(wedge_pairs(group))[:len(transversal)]
-            assert pairs == [(t, walk[t]) for t in transversal], g.name
+        walk = list(sorting_walk(g))
+        first = {rep: gens for rep, _members, gens in walk}
+        pairs = list(wedge_pairs(g))[:len(transversal)]
+        assert pairs == [(t, first[t]) for t in transversal], g.name
+        view = GenericView(g)
+        reps = [c.rep for c in conjugacy_classes(pcgroup._quotient(view)[0])
+                if any(g.comm(c.rep, x) for x in g.generators)]
+        pairs = list(wedge_pairs(view))[:len(reps)]
+        assert [t for t, _gens in pairs] == reps, g.name
+        centralizer_of = {m: gens for _t, members, gens in walk for m in members}
+        for t, gens in pairs:
+            leads = [c & -c for c in gens]
+            assert leads == sorted(set(leads)) and 0 not in leads, (g.name, t)
+            want = subgroup(g, centralizer_of[t])
+            assert len(gens) == len(want.seq) and all(c in want for c in gens), (g.name, t)
 
 
 def test_fingerprint_counts_orders_per_class(fast_groups):

@@ -4,10 +4,12 @@
 `wedge_pairs`: (t, a generating set of C_G(t)) for t in a transversal of
 the center, one t per class, then (z, x_i) for z in a generating set of
 Z(G).  The generators of C_G(t) are a kernel basis on the class-2 fast
-path and Schreier generators elsewhere (`GenericView` runs those on a fast
-group).  The oracle `class_centralizers` (conftest) takes one Schreier
-walk per class.  The pair sets must give the same wedge subgroup of
-H_2(G), checked by membership both ways in the cover's kernel coordinates.
+path and the centralizer sequences of the class lift elsewhere, where t
+runs over the reps of the classes of G/K, K the central tail
+(`GenericView` runs those on a fast group).  The oracle
+`class_centralizers` (conftest) takes one Schreier walk per class.  The
+pair sets must give the same wedge subgroup of H_2(G), checked by
+membership both ways in the cover's kernel coordinates.
 """
 
 import itertools
@@ -21,7 +23,9 @@ from twogroups.catalog import parse_catalog
 from twogroups.homology import cover_presentation
 from twogroups.ktheory import sk1
 from twogroups.linalg import smith_normal_form
+from twogroups import pcgroup
 from twogroups.pcgroup import (
+    conjugacy_classes,
     conjugacy_orbit,
     frattini_generators,
     standard_subgroups,
@@ -82,16 +86,21 @@ def test_wedge_pairs_give_the_class_centralizer_wedge_subgroup(small_family, cov
 
 
 def test_generic_wedge_pairs_walk_disjoint_classes(small_family, covers):
-    # one orbit walk per pair before the central ones: the walked classes
-    # are disjoint and miss Z(G), so (|G| - |Z|) d(G) + n log2 |Z| <= |G| n
-    # bounds the pair count, as SK1_PAIR_BOUND assumes
+    # one pair per class of Q = G/K not central in G, at its rep, before
+    # the central ones: their classes are disjoint and miss Z(G), each
+    # paired with an induced sequence of its centralizer, and the pair
+    # count stays under the bound (|G| - |Z|) d(G) + n log2 |Z| <= |G| n
+    # of the orbit walk that SK1_PAIR_BOUND was set for
     fast = [g for g in small_family if g.is_fast] + [rkm(*a) for a in RKM_LARGER]
     groups = [g for g in small_family if not g.is_fast] + covers
     for g in groups + [GenericView(f) for f in fast]:
         center = standard_subgroups(g).center.elements
         d = len(frattini_generators(g))
+        reps = [c.rep for c in conjugacy_classes(pcgroup._quotient(g)[0]) if c.rep not in center]
+        pairs = list(wedge_pairs(g))
+        assert sorted(t for t, _hs in pairs[:len(reps)]) == sorted(reps), g.name
         walked, count = set(), 0
-        for t, hs in wedge_pairs(g):
+        for t, hs in pairs:
             count += len(hs)
             if t in center:
                 assert hs == g.generators, g.name
@@ -99,9 +108,17 @@ def test_generic_wedge_pairs_walk_disjoint_classes(small_family, covers):
             orbit = conjugacy_orbit(g, t)
             assert walked.isdisjoint(orbit) and center.isdisjoint(orbit), (g.name, t)
             walked.update(orbit)
-            assert len(hs) <= len(orbit) * d, (g.name, t)
+            assert 1 << len(hs) == g.order // len(orbit), (g.name, t)
         z = len(center).bit_length() - 1
         assert count <= (g.order - len(center)) * d + g.n * z <= g.order * g.n, g.name
+
+
+def test_generic_wedge_pairs_of_the_2_14_cover_stay_few(covers):
+    # the class-3 cover of SG256_8129: 9,328 pairs by the orbit walk's
+    # Schreier generators, 703 from the class lift
+    big = covers[-1]
+    assert big.order == 1 << 14
+    assert sum(len(hs) for _t, hs in wedge_pairs(big)) < 1000
 
 
 def test_fast_wedge_pairs_stay_within_the_center_bound(cat):

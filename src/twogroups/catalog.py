@@ -169,12 +169,13 @@ class Fingerprint:
         }
 
 
-def fingerprint(group: PcGroup) -> Fingerprint:
-    """Isomorphism invariants read off the classes; element order is a class
+def fingerprint(group: PcGroup, _classes=None) -> Fingerprint:
+    """Isomorphism invariants read off the classes, `conjugacy_classes(group)`
+    unless the caller has them (`_classes`); element order is a class
     function, so orders are counted once per class, weighted by its size."""
     check_element_walk(group, "fingerprint")
     invariants = abelian_invariants(group)
-    classes = conjugacy_classes(group)
+    classes = conjugacy_classes(group) if _classes is None else _classes
     orders: Dict[int, int] = {}
     conj_inv = 0
     for cls in classes:

@@ -1,35 +1,64 @@
 """Graded multivariate polynomials over GF(2), Sq^1, ideal membership.
 
 Polynomials live in F2[X_1, ..., X_r] with all variables of degree one.
-A monomial is an exponent tuple; a polynomial is a frozenset of monomials
-(characteristic 2: f + f = 0).  The monomial order everywhere is graded
-lexicographic with X_1 > X_2 > ... (grlex).
+A polynomial is a frozenset of monomials (characteristic 2: f + f = 0),
+each packed into one int of r + 1 fields of FIELD_BITS bits: the degree on
+top, then the exponents of X_1, ..., X_r.  So the monomial order, graded
+lexicographic with X_1 > X_2 > ... (grlex), is int order, and a product of
+monomials is a sum.  Degrees are at most MAX_DEGREE, which leaves the top
+bit of each field a guard: no sum carries out of a field, and a divides b
+iff ((b | G) - a) & G == G for G = `guard_mask`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Gf2Span, iter_bits
 
 Monomial = Tuple[int, ...]
 
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+
 
 class PolyError(ValueError):
     pass
 
 
-def _grlex_key(m: Monomial) -> Tuple:
-    # sorts ascending; leading monomial = max
-    return (sum(m), m)
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise PolyError(f"degree {d} exceeds the bound {MAX_DEGREE}")
+
+
+def _pack(m: Monomial) -> int:
+    packed = degree = 0
+    for e in m:
+        if not isinstance(e, int) or e < 0:
+            raise PolyError(f"exponent {e!r} is not a nonnegative int")
+        packed = packed << FIELD_BITS | e
+        degree += e
+    _check_degree(degree)
+    return degree << (FIELD_BITS * len(m)) | packed
+
+
+def _unpack(t: int, nvars: int) -> Monomial:
+    return tuple(t >> (FIELD_BITS * i) & ((1 << FIELD_BITS) - 1) for i in range(nvars - 1, -1, -1))
+
+
+def guard_mask(nvars: int) -> int:
+    """The guard bits of a packed monomial in nvars variables."""
+    return sum(1 << (FIELD_BITS * i) for i in range(nvars + 1)) << (FIELD_BITS - 1)
 
 
 class F2Poly:
-    """A polynomial over GF(2) in a fixed variable universe."""
+    """A polynomial over GF(2) in a fixed variable universe; `terms` holds
+    its packed monomials."""
 
-    __slots__ = ("vars", "monomials")
+    __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Tuple[str, ...], monomials: Iterable[Monomial] = ()):
         self.vars = tuple(variables)
@@ -38,19 +67,21 @@ class F2Poly:
             m = tuple(m)
             if len(m) != len(self.vars):
                 raise PolyError("monomial length does not match variable count")
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
-        self.monomials: FrozenSet[Monomial] = frozenset(acc)
+            acc ^= {_pack(m)}
+        self.terms: FrozenSet[int] = frozenset(acc)
 
     @classmethod
-    def _of(cls, variables: Tuple[str, ...], monomials: FrozenSet[Monomial]) -> "F2Poly":
-        # the ring operations' results: already reduced, of the right length
+    def _of(cls, variables: Tuple[str, ...], terms: FrozenSet[int]) -> "F2Poly":
+        # the ring operations' results: already reduced and packed
         poly = object.__new__(cls)
         poly.vars = variables
-        poly.monomials = monomials
+        poly.terms = terms
         return poly
+
+    @property
+    def monomials(self) -> FrozenSet[Monomial]:
+        """The terms as exponent tuples."""
+        return frozenset(_unpack(t, len(self.vars)) for t in self.terms)
 
     # -- constructors ---------------------------------------------------------
 
@@ -60,8 +91,7 @@ class F2Poly:
 
     @classmethod
     def one(cls, variables: Sequence[str]) -> "F2Poly":
-        variables = tuple(variables)
-        return cls._of(variables, frozenset([(0,) * len(variables)]))
+        return cls._of(tuple(variables), frozenset([0]))
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "F2Poly":
@@ -79,14 +109,15 @@ class F2Poly:
 
     def __add__(self, other: "F2Poly") -> "F2Poly":
         self._check(other)
-        return F2Poly._of(self.vars, self.monomials ^ other.monomials)
+        return F2Poly._of(self.vars, self.terms ^ other.terms)
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
         self._check(other)
+        _check_degree(self.degree() + other.degree())  # F2[X] is a domain
         acc: set = set()
-        for a in self.monomials:
-            for b in other.monomials:
-                m = tuple(x + y for x, y in zip(a, b))
+        for a in self.terms:
+            for b in other.terms:
+                m = a + b
                 if m in acc:
                     acc.discard(m)
                 else:
@@ -97,53 +128,51 @@ class F2Poly:
         if k < 0:
             raise PolyError("negative power")
         result = F2Poly.one(self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for bit in bin(k)[2:]:  # squares of the result: none past its degree
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, F2Poly)
             and self.vars == other.vars
-            and self.monomials == other.monomials
+            and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.vars, self.monomials))
+        return hash((self.vars, self.terms))
 
     def __bool__(self) -> bool:
-        return bool(self.monomials)
+        return bool(self.terms)
 
     # -- grading ------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self.terms
 
     def degree(self) -> int:
-        if not self.monomials:
+        if not self.terms:
             return -1
-        return max(sum(m) for m in self.monomials)
+        return max(self.terms) >> (FIELD_BITS * len(self.vars))
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.monomials}
-        return len(degs) <= 1
+        shift = FIELD_BITS * len(self.vars)
+        return not self.terms or min(self.terms) >> shift == max(self.terms) >> shift
 
     def leading_monomial(self) -> Monomial:
-        if not self.monomials:
+        if not self.terms:
             raise PolyError("zero polynomial has no leading monomial")
-        return max(self.monomials, key=_grlex_key)
+        return _unpack(max(self.terms), len(self.vars))
 
     # -- display ----------------------------------------------------------------
 
     def sorted_monomials(self) -> List[Monomial]:
-        return sorted(self.monomials, key=_grlex_key, reverse=True)
+        return [_unpack(t, len(self.vars)) for t in sorted(self.terms, reverse=True)]
 
     def __str__(self) -> str:
-        if not self.monomials:
+        if not self.terms:
             return "0"
         terms = []
         for m in self.sorted_monomials():
@@ -188,37 +217,40 @@ def parse_poly(text: str, variables: Sequence[str]) -> F2Poly:
 
 def sq1(f: F2Poly) -> F2Poly:
     """Steenrod Sq^1: the derivation with Sq^1(X) = X^2 on degree-1 variables."""
+    _check_degree(f.degree() + 1)
+    shift = FIELD_BITS * len(f.vars)
+    units = [1 << i for i in range(0, shift, FIELD_BITS)]
     acc: set = set()
-    for m in f.monomials:
-        for i, e in enumerate(m):
-            if e & 1:
-                bumped = list(m)
-                bumped[i] += 1
-                t = tuple(bumped)
-                if t in acc:
-                    acc.discard(t)
+    for t in f.terms:
+        # X^e -> e X^(e+1): one more in an odd exponent, and in the degree
+        for u in units:
+            if t & u:
+                m = t + u + (1 << shift)
+                if m in acc:
+                    acc.discard(m)
                 else:
-                    acc.add(t)
+                    acc.add(m)
     return F2Poly._of(f.vars, frozenset(acc))
 
 
 def monomials_of_degree(variables: Sequence[str], d: int) -> List[Monomial]:
     """All degree-d monomials, descending grlex (index 0 = largest)."""
-    nvars = len(variables)
-    out: List[Monomial] = []
+    return list(_monomials(len(variables), d))
 
-    def rec(prefix: List[int], remaining: int, pos: int) -> None:
-        if pos == nvars - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, pos + 1)
 
-    if nvars == 0:
-        return [()] if d == 0 else []
-    rec([], d, 0)
-    # rec enumerates in descending lex order already; grlex on fixed degree = lex
-    return out
+@lru_cache(maxsize=256)
+def _monomials(nvars: int, d: int) -> Tuple[Monomial, ...]:
+    # descending lex order, which is grlex on a fixed degree
+    if nvars <= 1:
+        return ((d,) * nvars,) if d >= 0 and (nvars or d == 0) else ()
+    return tuple((e,) + m for e in range(d, -1, -1) for m in _monomials(nvars - 1, d - e))
+
+
+@lru_cache(maxsize=32)
+def _degree_terms(nvars: int, d: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    # the packed degree-d monomials, descending, and each one's position (shared: read only)
+    terms = tuple(map(_pack, _monomials(nvars, d)))
+    return terms, {t: i for i, t in enumerate(terms)}
 
 
 @dataclass
@@ -269,34 +301,32 @@ class DegreeSlice:
     """The degree-d slice of the ideal <gens> as a GF(2) row space.
 
     One row g * m per generator g and monomial m of degree d - deg(g), in
-    generator order; `products` lists the (generator index, m) of each row.
-    Coordinates are over the degree-d monomials in descending grlex.
+    generator order; `products` lists the (generator index, packed m) of
+    each row.  Coordinate i is the i-th packed degree-d monomial in
+    descending grlex, `terms[i]`.
     """
 
     def __init__(self, gens: Sequence[F2Poly], d: int, variables: Sequence[str]):
         self.variables = tuple(variables)
-        self.monomials = monomials_of_degree(self.variables, d)
-        self._index = {m: i for i, m in enumerate(self.monomials)}
+        self.terms, self._index = _degree_terms(len(self.variables), d)
         self.span = Gf2Span()
-        self.products: List[Tuple[int, Monomial]] = []
+        self.products: List[Tuple[int, int]] = []
         for gi, g in enumerate(gens):
             dg = g.degree()
             if g.is_zero() or dg > d:
                 continue
-            for m in monomials_of_degree(self.variables, d - dg):
-                self.span.add(self.vector(g * F2Poly(self.variables, [m])))
+            for m in _degree_terms(len(self.variables), d - dg)[0]:
+                # the row of g * m: g's terms shifted by m, all distinct
+                self.span.add(sum(1 << self._index[t + m] for t in g.terms))
                 self.products.append((gi, m))
 
     def vector(self, p: F2Poly) -> int:
-        v = 0
-        for m in p.monomials:
-            v |= 1 << self._index[m]
-        return v
+        return sum(1 << self._index[t] for t in p.terms)
 
     def reduce(self, p: F2Poly) -> F2Poly:
         """Canonical residue of a degree-d polynomial modulo the slice."""
         residue = self.span.reduce(self.vector(p))
-        return F2Poly(self.variables, [self.monomials[i] for i in iter_bits(residue)])
+        return F2Poly._of(self.variables, frozenset(self.terms[i] for i in iter_bits(residue)))
 
 
 def degree_membership(
@@ -326,7 +356,7 @@ def degree_membership(
             raise PolyError("variable universes differ")
     dslice = DegreeSlice(gens, d, f.vars)
     combo = dslice.span.solve(dslice.vector(f))
-    rows, cols = len(dslice.products), len(dslice.monomials)
+    rows, cols = len(dslice.products), len(dslice.terms)
     if combo is None:
         return MembershipCertificate(
             member=False,
@@ -336,15 +366,15 @@ def degree_membership(
             system_rows=rows,
             system_cols=cols,
         )
-    coeffs = [F2Poly.zero(f.vars) for _ in gens]
+    coeffs: List[set] = [set() for _ in gens]
     for k in iter_bits(combo):
         gi, m = dslice.products[k]
-        coeffs[gi] = coeffs[gi] + F2Poly(f.vars, [m])
+        coeffs[gi].add(m)  # each (gi, m) is one row
     cert = MembershipCertificate(
         member=True,
         degree=d,
         generators=list(gens),
-        coefficients=coeffs,
+        coefficients=[F2Poly._of(f.vars, frozenset(c)) for c in coeffs],
         system_rows=rows,
         system_cols=cols,
     )

@@ -334,18 +334,20 @@ def thm41_check(ext: CentralExtensionData) -> CriterionResult:
     return CriterionResult(True, {"sigma": g.element_str(t)})
 
 
-def thm42_check(ext: CentralExtensionData) -> CriterionResult:
+def thm42_check(ext: CentralExtensionData, _classes=None) -> CriterionResult:
     """Every quotient element conjugate to its inverse lifts to one with the
     same property; false comes with the offending element, printed as its
-    lexicographically least preimage in brackets.  The scan runs on
-    `central_quotient(cover, t)`, built here, so any surjection with kernel
-    <t> gives the same answer.
+    lexicographically least preimage in brackets.  The scan runs on the
+    classes of `central_quotient(cover, t)`, built here unless the caller
+    has them (`_classes`), so any surjection with kernel <t> gives the same
+    answer.
 
     One preimage l of h decides: t is central of order two, so y^-1 (l t) y
     = (l t)^-1 = l^-1 t exactly when y^-1 l y = l^-1."""
     g, t = ext.cover_group, ext.t
-    q = central_quotient(g, t).target
-    for cls in conjugacy_classes(q):
+    if _classes is None:
+        _classes = conjugacy_classes(central_quotient(g, t).target)
+    for cls in _classes:
         if not cls.is_real:
             continue
         lift = central_lift(t, cls.rep)
@@ -385,11 +387,12 @@ def search_central_extensions(group) -> List[ExtensionSearchEntry]:
             continue
         # every candidate lies in Z(G) n [G,G], so sigma_in_derived holds
         ext = CentralExtensionData(group, t, central_quotient(group, t), True)
-        fp = fingerprint(ext.quotient)
+        classes = conjugacy_classes(ext.quotient)
+        fp = fingerprint(ext.quotient, classes)
         if fp in seen_fps:
             continue
         seen_fps.append(fp)
-        t42 = thm42_check(ext)
+        t42 = thm42_check(ext, classes)
         entries.append(
             ExtensionSearchEntry(
                 sigma_word=[b + 1 for b in iter_bits(t)],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2poly import F2Poly, Monomial, PolyError, _grlex_key
+from .f2poly import F2Poly, PolyError, _pack, _unpack, guard_mask
 from .linalg import smith_normal_form
 
 
@@ -144,37 +144,32 @@ def kunneth_h2_of_cyclic_product(orders: Sequence[int]) -> Tuple[int, ...]:
 
 
 # -- Buchberger over GF(2), graded-lex ----------------------------------------
+# on the packed monomials of f2poly: grlex is int order and a product of
+# monomials is a sum, so the quotient of b by a divisor a is b - a
 
 
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _divides(a: int, b: int, guards: int) -> bool:
+    # no field of b - a borrows: each keeps the guard bit b | guards gave it
+    return ((b | guards) - a) & guards == guards
 
 
 def normal_form(f: F2Poly, basis: Sequence[F2Poly]) -> F2Poly:
     """Remainder of f under leading-term reduction by basis (grlex)."""
-    lead = [(g.leading_monomial(), g) for g in basis if not g.is_zero()]
-    work = f
-    result = F2Poly.zero(f.vars)
-    while not work.is_zero():
-        lm = work.leading_monomial()
-        for glm, g in lead:
-            if _mono_divides(glm, lm):
-                cof = F2Poly(f.vars, [_mono_div(lm, glm)])
-                work = work + cof * g
+    if any(g.vars != f.vars for g in basis):
+        raise PolyError("variable universes differ")
+    guards = guard_mask(len(f.vars))
+    lead = [(max(g.terms), g.terms) for g in basis if g.terms]
+    work, result = set(f.terms), set()
+    while work:
+        lm = max(work)
+        for glm, terms in lead:
+            if _divides(glm, lm, guards):
+                work.symmetric_difference_update({lm - glm + t for t in terms})
                 break
         else:
-            head = F2Poly(f.vars, [lm])
-            result = result + head
-            work = work + head
-    return result
+            work.remove(lm)
+            result.add(lm)
+    return F2Poly._of(f.vars, frozenset(result))
 
 
 def groebner(
@@ -192,30 +187,31 @@ def groebner(
     if max_degree is not None and any(not g.is_homogeneous() for g in basis):
         raise PolyError("degree truncation requires homogeneous generators")
     variables = basis[0].vars
+    nvars, guards = len(variables), guard_mask(len(variables))
+    leads = [max(g.terms) for g in basis]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         i, j = pairs.pop()
-        fi, fj = basis[i], basis[j]
-        lmi, lmj = fi.leading_monomial(), fj.leading_monomial()
-        lcm = _mono_lcm(lmi, lmj)
-        # Buchberger's first criterion: coprime leading monomials
-        if lcm == tuple(x + y for x, y in zip(lmi, lmj)):
-            continue
+        lmi, lmj = leads[i], leads[j]
+        lcm = tuple(map(max, _unpack(lmi, nvars), _unpack(lmj, nvars)))
         if max_degree is not None and sum(lcm) > max_degree:
             continue
-        s = F2Poly(variables, [_mono_div(lcm, lmi)]) * fi + F2Poly(
-            variables, [_mono_div(lcm, lmj)]
-        ) * fj
+        lcm = _pack(lcm)
+        # Buchberger's first criterion: coprime leading monomials
+        if lcm == lmi + lmj:
+            continue
+        s = F2Poly._of(variables, frozenset({lcm - lmi + t for t in basis[i].terms})
+                       ^ frozenset({lcm - lmj + t for t in basis[j].terms}))
         r = normal_form(s, basis)
         if not r.is_zero():
             basis.append(r)
+            leads.append(max(r.terms))
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
     # minimalize
     minimal: List[F2Poly] = []
-    leads = [g.leading_monomial() for g in basis]
     for i, g in enumerate(basis):
         if any(
-            j != i and _mono_divides(leads[j], leads[i])
+            j != i and _divides(leads[j], leads[i], guards)
             and (leads[j] != leads[i] or j < i)
             for j in range(len(basis))
         ):
@@ -228,7 +224,7 @@ def groebner(
         r = normal_form(g, others) if others else g
         if not r.is_zero():
             reduced.append(r)
-    reduced.sort(key=lambda p: _grlex_key(p.leading_monomial()))
+    reduced.sort(key=lambda p: max(p.terms))
     return reduced
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -343,3 +344,128 @@ def small_family(cat):
     out += [schur_cover(schur_cover(cat[name]).cover).cover for name in TWICE_COVERED]
     assert sum(not g.is_fast for g in out) >= 5
     return out
+
+
+# -- F2 polynomials on exponent tuples -------------------------------------------
+# f2poly's arithmetic and the Buchberger oracle as they read before monomials
+# were packed into ints: a polynomial is a frozenset of exponent tuples and
+# grlex is the key (degree, tuple).  The packed layer is compared with these.
+
+
+def grlex_key(m):
+    return (sum(m), m)
+
+
+def xor_all(monos):
+    """The frozenset of the monomials that occur an odd number of times."""
+    acc = set()
+    for m in monos:
+        acc ^= {m}
+    return frozenset(acc)
+
+
+def tuple_mul(f, g):
+    return xor_all(tuple(x + y for x, y in zip(a, b)) for a in f for b in g)
+
+
+def tuple_pow(f, k, nvars):
+    result = frozenset([(0,) * nvars])
+    for _ in range(k):
+        result = tuple_mul(result, f)
+    return result
+
+
+def tuple_sq1(f):
+    return xor_all(m[:i] + (e + 1,) + m[i + 1:] for m in f for i, e in enumerate(m) if e & 1)
+
+
+def tuple_str(variables, f):
+    terms = []
+    for m in sorted(f, key=grlex_key, reverse=True):
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(variables, m) if e]
+        terms.append("*".join(factors) if factors else "1")
+    return "+".join(terms) or "0"
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def tuple_normal_form(f, basis):
+    lead = [(max(g, key=grlex_key), g) for g in basis if g]
+    work, result = set(f), set()
+    while work:
+        lm = max(work, key=grlex_key)
+        for glm, g in lead:
+            if _divides(glm, lm):
+                cof = tuple(y - x for x, y in zip(glm, lm))
+                work ^= tuple_mul(g, [cof])
+                break
+        else:
+            work.remove(lm)
+            result.add(lm)
+    return frozenset(result)
+
+
+def tuple_groebner(gens, max_degree=None):
+    basis = [g for g in gens if g]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop()
+        lmi, lmj = (max(basis[k], key=grlex_key) for k in (i, j))
+        lcm = tuple(max(x, y) for x, y in zip(lmi, lmj))
+        if lcm == tuple(x + y for x, y in zip(lmi, lmj)):
+            continue
+        if max_degree is not None and sum(lcm) > max_degree:
+            continue
+        s = (tuple_mul(basis[i], [tuple(x - y for x, y in zip(lcm, lmi))])
+             ^ tuple_mul(basis[j], [tuple(x - y for x, y in zip(lcm, lmj))]))
+        r = tuple_normal_form(s, basis)
+        if r:
+            basis.append(r)
+            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+    leads = [max(g, key=grlex_key) for g in basis]
+    minimal = [g for i, g in enumerate(basis)
+               if not any(j != i and _divides(leads[j], leads[i])
+                          and (leads[j] != leads[i] or j < i) for j in range(len(basis)))]
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        r = tuple_normal_form(g, others) if others else g
+        if r:
+            reduced.append(r)
+    reduced.sort(key=lambda g: grlex_key(max(g, key=grlex_key)))
+    return reduced
+
+
+def tuple_monomials(nvars, d):
+    """The degree-d monomials, descending grlex: one per multiset of d variables."""
+    multisets = itertools.combinations_with_replacement(range(nvars), d)
+    return sorted({tuple(c.count(i) for i in range(nvars)) for c in multisets}, reverse=True)
+
+
+def tuple_degree_slice(gens, d, nvars):
+    """(degree-d monomials, the span of the rows g * m, their (gi, m))."""
+    monos = tuple_monomials(nvars, d)
+    index = {m: i for i, m in enumerate(monos)}
+    span, products = Gf2Span(), []
+    for gi, g in enumerate(gens):
+        dg = max(map(sum, g), default=d + 1)
+        for m in tuple_monomials(nvars, d - dg) if dg <= d else []:
+            span.add(sum(1 << index[p] for p in tuple_mul(g, [m])))
+            products.append((gi, m))
+    return monos, span, products
+
+
+def tuple_degree_membership(f, gens, d, nvars):
+    """(True, coefficient per generator) or (False, the residue of f)."""
+    monos, span, products = tuple_degree_slice(gens, d, nvars)
+    vec = sum(1 << monos.index(m) for m in f)
+    combo = span.solve(vec)
+    if combo is None:
+        return False, frozenset(monos[i] for i in iter_bits(span.reduce(vec)))
+    coeffs = [set() for _ in gens]
+    for k in iter_bits(combo):
+        gi, m = products[k]
+        coeffs[gi].add(m)
+    return True, [frozenset(c) for c in coeffs]

@@ -187,6 +187,7 @@ QUADRATICS = ["--theta", "X1*X2+X1*X3", "--z", "X3*X4"]
         (IMAGES + ["--theta", "X1"], "--theta must be homogeneous of degree 2"),
         (IMAGES + ["--z", "X3"], "--z must be homogeneous of degree 2"),
         ([], "--images needs 8 generator images, got 0"),
+        (IMAGES + ["--theta", "X1^40000"], "degree 40000 exceeds the bound 32767"),
     ],
 )
 def test_compat_usage_errors_exit_2(extra, message, capsys):

@@ -8,7 +8,7 @@ import pytest
 from conftest import RKM, RKM_LARGER, SHIPPED_FAST, GenericView, commutator_scan, rkm
 from twogroups.catalog import fingerprint, parse_catalog
 from twogroups.homology import schur_cover
-from twogroups import homology
+from twogroups import homology, ktheory, pcgroup
 from twogroups.ktheory import (
     CentralExtensionData,
     central_extension,
@@ -187,6 +187,47 @@ def test_search_finds_expected_quotients(cat):
         assert len(entries) == 1
         assert entries[0].quotient_fingerprint == fingerprint(cat[quot_name])
         assert entries[0].thm42_holds
+
+
+def test_search_builds_and_lifts_each_quotient_once(cat, monkeypatch):
+    # fingerprint and thm42_check read one class list per candidate quotient;
+    # on the frozen covers the quotients are generic, so that list is one
+    # class lift (a call of _lifted_classes without deep), on SG256_8129 the
+    # fast walk
+    covers = parse_catalog(COVERS_CAT.read_text())
+    groups = [covers[0], covers[2], cat["SG256_8129"]]
+    built, walked = [], []
+    quotient, walk = ktheory.central_quotient, ktheory.conjugacy_classes
+    lifted = pcgroup._lifted_classes
+
+    def spy_quotient(group, t):
+        built.append(t)
+        return quotient(group, t)
+
+    def spy_lift(group, deep=False):
+        walked.extend([] if deep else [group.name])
+        return lifted(group, deep)
+
+    def spy_walk(group):
+        walked.extend([group.name] if group.is_fast else [])
+        return walk(group)
+
+    monkeypatch.setattr(ktheory, "central_quotient", spy_quotient)
+    monkeypatch.setattr(ktheory, "conjugacy_classes", spy_walk)
+    monkeypatch.setattr(pcgroup, "_lifted_classes", spy_lift)
+    kept = []
+    for g in groups:
+        built.clear()
+        walked.clear()
+        entries = search_central_extensions(g)
+        names = [f"{g.name}/<{g.element_str(t)}>" for t in built]
+        quotients = [name for name in walked if name.startswith(f"{g.name}/<")]
+        assert len(set(built)) == len(built) and sorted(quotients) == sorted(names), g.name
+        kept.append(entries)
+    assert [len(entries) for entries in kept] == [3, 3, 1]
+    kept = [e for entries in kept for e in entries]
+    monkeypatch.undo()
+    assert [e.thm42_holds for e in kept] == [thm42_check(e.extension).holds for e in kept]
 
 
 def test_search_abelian_empty(cat):
